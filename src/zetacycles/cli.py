@@ -2,7 +2,8 @@
 detection, identity verification, and report emission.
 
 Exit codes: 0 when every assertion in the invoked suite passed, 1 when an
-assertion failed, 2 for usage, configuration, or missing-input errors.
+assertion failed, 2 for usage, configuration, or missing-input errors, and
+for requests the library rejects (AccuracyError, PoleError, ValueError).
 Reports are deterministic: identical config and cache produce byte-identical
 payloads; timing goes to a separate runtime-stats file.
 """
@@ -48,7 +49,6 @@ class RunConfig:
     scan_step: float = 1e-3
     cache_path: str = "zeros.csv"
     output_dir: str = "reports"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.t_max <= 0.0 or self.tol <= 0.0 or self.scan_step <= 0.0:
@@ -60,8 +60,6 @@ class RunConfig:
             raise ConfigError("family_ks must be nonempty")
         if any(k < 0 for k in self.family_ks):
             raise ConfigError("family_ks entries must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
 
     def resolved_cache_path(self) -> Path:
         path = Path(self.cache_path)
@@ -74,17 +72,14 @@ class RunConfig:
 _INT_TUPLE_KEYS = {"family_ks"}
 _FLOAT_PAIR_KEYS = {"L_window"}
 _FLOAT_KEYS = {"t_max", "tol", "scan_step"}
-_INT_KEYS = {"threads"}
 _STR_KEYS = {"cache_path", "output_dir"}
-_ALL_KEYS = _INT_TUPLE_KEYS | _FLOAT_PAIR_KEYS | _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+_ALL_KEYS = _INT_TUPLE_KEYS | _FLOAT_PAIR_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
 def _coerce(key: str, raw: str):
     try:
         if key in _FLOAT_KEYS:
             return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
         if key in _INT_TUPLE_KEYS:
             return tuple(int(p) for p in raw.replace(",", " ").split())
         if key in _FLOAT_PAIR_KEYS:
@@ -201,6 +196,7 @@ def _dip_payload(dip: cycles.Dip, zeros: list[ZetaZero]) -> dict:
         "s": dip.s,
         "matched_zero": match,
         "distance": dist,
+        "z_residual": dip.z_residual,
     }
 
 
@@ -223,8 +219,6 @@ def cmd_scan(cfg: RunConfig) -> int:
     stats = dict(result.runtime_stats)
     if "seconds" in stats:
         stats["profile_seconds"] = stats.pop("seconds")
-    stats["threads_requested"] = cfg.threads
-    stats["threads_used"] = 1
     _write_runtime(out_dir, "scan", time.perf_counter() - t0, stats)
     return EXIT_OK
 
@@ -357,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scan-step", dest="scan_step", type=float)
     parser.add_argument("--cache-path", dest="cache_path")
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--threads", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("zeros", help="compute and cache critical zeros up to t_max")
     sub.add_parser("scan", help="scan the L window and refine dips")
@@ -389,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_jets(cfg, args.section)
     except (ConfigError, MissingCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (specfun.AccuracyError, specfun.PoleError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc.filename or ''}: {exc}", file=sys.stderr)

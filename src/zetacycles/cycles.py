@@ -1,5 +1,5 @@
 """Cycle detection: row-collapse scores over circle lengths, dip scanning
-with bisection refinement, covering stability, and the complement spectrum.
+with root refinement, covering stability, and the complement spectrum.
 
 A circle length L is flagged when some Fourier row of the detection matrix
 collapses; because every entry factors as L^(-1/2) zeta(1/2 - i s_n) times a
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .specfun import (
     EvalConfig,
     ZetaZero,
     find_zeros,
+    refine_root,
+    refinement_config,
     riemann_siegel_Z,
     zeta_critical,
 )
@@ -51,7 +54,6 @@ _TWO_PI = 2.0 * math.pi
 _PSI_FLOOR = 1e-250
 
 _REFINE_TRIGGER = 0.5
-_REFINE_WIDTH = 1e-9
 
 
 class FamilyDegenerateError(ValueError):
@@ -110,8 +112,11 @@ class ScanResult:
 
 
 def mode_count(L: float, t_max: float) -> int:
-    """Modes needed so the row frequencies 2 pi n / L cover (0, t_max]."""
-    return int(math.ceil(L * t_max / _TWO_PI)) + 8
+    """Modes covering (0, t_max] at frequencies 2 pi n / L, plus up to 8 padding
+    rows as far as they stay within the validated range."""
+    covering = math.floor(L * t_max / _TWO_PI)
+    padded = math.ceil(L * t_max / _TWO_PI) + 8
+    return max(covering, min(padded, math.floor(L * VALIDATED_T_MAX / _TWO_PI)))
 
 
 def _row_data(
@@ -194,15 +199,6 @@ def detect(
     )
 
 
-def _refine_cfg(cfg: EvalConfig, t_max: float) -> EvalConfig:
-    # Bisection needs the quieter Euler-Maclaurin branch throughout.
-    return replace(
-        cfg,
-        rs_threshold=min(max(cfg.rs_threshold, t_max + 16.0), VALIDATED_T_MAX),
-        target_abs_error=max(cfg.target_abs_error, 1e-10),
-    )
-
-
 def scan(
     L_min: float,
     L_max: float,
@@ -215,9 +211,9 @@ def scan(
     """Profile the minimum zeta-scale row score over an L-grid and refine dips.
 
     A dip is a strict local minimum of the profile below the refinement
-    trigger whose row frequency brackets a sign change of Z; it is then
-    pinned by bisection in L to width 1e-9. Local minima without a sign
-    change (near-misses of |zeta|) are left unrefined by design.
+    trigger whose row frequency brackets a sign change of Z; that frequency
+    is refined to a root s* of Z, and L* = 2 pi n / s*. Local minima without
+    a sign change (near-misses of |zeta|) are left unrefined by design.
     """
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
@@ -248,7 +244,7 @@ def scan(
         profile.append((L, best_score))
         argmin_n.append(best_n)
 
-    rcfg = _refine_cfg(cfg, t_max)
+    z = partial(riemann_siegel_Z, cfg=refinement_config(cfg, t_max))
     dips: list[Dip] = []
     for i in range(1, count - 1):
         score = profile[i][1]
@@ -257,36 +253,16 @@ def scan(
         if not (score < profile[i - 1][1] and score < profile[i + 1][1]):
             continue
         n_star = argmin_n[i]
-        a, b = l_values[i - 1], l_values[i + 1]
-        ga = riemann_siegel_Z(_TWO_PI * n_star / a, rcfg)
-        gb = riemann_siegel_Z(_TWO_PI * n_star / b, rcfg)
-        if ga * gb > 0.0:
+        # frequency falls as L grows, so the bracket's ends swap
+        lo, hi = _TWO_PI * n_star / l_values[i + 1], _TWO_PI * n_star / l_values[i - 1]
+        z_lo, z_hi = z(lo), z(hi)
+        if z_lo * z_hi > 0.0:
             continue
-        # Width 1e-9 alone leaves |Z| ~ (s/L) * width for high modes, so keep
-        # halving until the frequency-space residual is pinned as well.
-        last_gm = math.inf
-        width_floor = 256.0 * np.finfo(float).eps * b
-        for _ in range(90):
-            if b - a <= width_floor:
-                break
-            if b - a <= _REFINE_WIDTH and last_gm < 5e-9:
-                break
-            mid = 0.5 * (a + b)
-            gm = riemann_siegel_Z(_TWO_PI * n_star / mid, rcfg)
-            last_gm = abs(gm)
-            if gm == 0.0:
-                a = b = mid
-                break
-            if ga * gm < 0.0:
-                b, gb = mid, gm
-            else:
-                a, ga = mid, gm
-        l_star = 0.5 * (a + b)
-        s_star = _TWO_PI * n_star / l_star
-        residual = abs(riemann_siegel_Z(s_star, rcfg))
+        s_star, z_star, _, _ = refine_root(z, lo, z_lo, hi, z_hi)
+        l_star = _TWO_PI * n_star / s_star
         if dips and abs(dips[-1].L_star - l_star) < 1e-8 and dips[-1].n == n_star:
             continue
-        dips.append(Dip(l_star, n_star, s_star, residual))
+        dips.append(Dip(l_star, n_star, s_star, abs(z_star)))
 
     dips.sort(key=lambda d: d.L_star)
     stats = {

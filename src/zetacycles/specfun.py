@@ -2,8 +2,9 @@
 
 Everything downstream (Fourier coefficients, dip scans, ideal generators)
 funnels through `zeta_critical`, so this module carries the accuracy
-contracts: Euler-Maclaurin below `rs_threshold`, a Riemann-Siegel main sum
-with remainder terms C0..C4 above it, and honest error accounting for both.
+contracts: Euler-Maclaurin below `rs_threshold` (at one point, or over a
+block of points), a Riemann-Siegel main sum with remainder terms C0..C4
+above it, and honest error accounting for both.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+from scipy import optimize, special
 
 __all__ = [
     "AccuracyError",
@@ -27,6 +32,8 @@ __all__ = [
     "gamma_complex",
     "log_gamma",
     "read_zero_cache",
+    "refine_root",
+    "refinement_config",
     "riemann_siegel_Z",
     "siegel_theta",
     "write_zero_cache",
@@ -39,6 +46,8 @@ __all__ = [
 VALIDATED_T_MAX = 260.0
 
 _TWO_PI = 2.0 * math.pi
+_LOG_PI = math.log(math.pi)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class PoleError(ValueError):
@@ -91,32 +100,11 @@ class ZetaZero:
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Lanczos approximation (g = 7, 9 coefficients), reflection below
-# Re z = 1/2.
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# Gamma: scipy.special on one complex point, with the pole check in front.
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
-
-
-def _lanczos_sum(w: complex) -> complex:
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (w + i)
-    return acc
 
 
 def gamma_complex(z: complex) -> complex:
@@ -124,90 +112,92 @@ def gamma_complex(z: complex) -> complex:
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    w = z - 1.0
-    a = _lanczos_sum(w)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * a
+    return complex(special.gamma(z))
 
 
 def log_gamma(z: complex) -> complex:
-    """log Gamma(z), analytic on Re z > 0 (continuous branch, not mod 2*pi).
-
-    For Re z < 1/2 the argument is shifted up with
-    log Gamma(z) = log Gamma(z+1) - log z, which stays on the continuous
-    branch for z in the closed upper-right quadrant (the only use here).
-    """
+    """log Gamma(z), analytic off the negative real axis (continuous, not mod 2*pi)."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log-gamma pole at z = {z}")
-    shift = 0.0 + 0.0j
-    while z.real < 0.5:
-        shift += cmath.log(z)
-        z = z + 1.0
-    w = z - 1.0
-    a = _lanczos_sum(w)
-    t = w + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t + cmath.log(a) - shift
+    return complex(special.loggamma(z))
 
 
-def siegel_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi."""
-    return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
+def siegel_theta(t):
+    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi, for a float or an array."""
+    return special.loggamma(0.25 + 0.5j * t).imag - 0.5 * t * _LOG_PI
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin evaluation of zeta(1/2 + it).
+# Euler-Maclaurin evaluation of zeta(1/2 + it), at one point or a block.
 
-# B_{2k} for k = 1..15 as floats (exact rationals rounded once).
-_BERNOULLI_EVEN = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-    43867.0 / 798.0,
-    -174611.0 / 330.0,
-    854513.0 / 138.0,
-    -236364091.0 / 2730.0,
-    8553103.0 / 6.0,
-    -23749461029.0 / 870.0,
-    8615841276005.0 / 14322.0,
+# B_{2k} / (2k)! for k = 1..15, each rounded once from the exact rational.
+_EM_COEFFS = tuple(
+    float(Fraction(p, q) / math.factorial(2 * k))
+    for k, (p, q) in enumerate(
+        [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+         (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+         (-23749461029, 870), (8615841276005, 14322)],
+        start=1,
+    )
 )
 _EM_CORRECTION_TERMS = 14
+_LOG_N = np.log(np.arange(1.0, 1025.0))
 
 
-def _zeta_euler_maclaurin(s: complex, n_floor: int) -> tuple[complex, float]:
-    """zeta(s) for Re s = 1/2 by Euler-Maclaurin; returns (value, error bound)."""
-    big_n = max(n_floor, int(math.ceil(0.7 * abs(s.imag))) + 30)
-    n_arr = np.arange(1, big_n + 1, dtype=np.float64)
-    value = complex(np.sum(n_arr ** (-s)))
-    value += big_n ** (1.0 - s) / (s - 1.0) - 0.5 * big_n ** (-s)
+def _log_range(count: int) -> np.ndarray:
+    """log 1, ..., log count."""
+    return _LOG_N[:count] if count <= _LOG_N.size else np.log(np.arange(1.0, count + 1.0))
+
+
+def _zeta_euler_maclaurin(t, n_floor: int):
+    """zeta(1/2 + it) for t >= 0 by Euler-Maclaurin; returns (value, error bound).
+
+    t is a float, or a 1-D array evaluated as one block with each point's
+    own length N = max(n_floor, ceil(0.7 t) + 30). Only the main sum
+    differs: a block sums n^(-s) in order along the rows of a block x max(N)
+    array and reads each row at its own N. The rest is +, * and abs, alike
+    for floats and arrays, so both paths agree up to fused rounding.
+
+    Rounding: each phase t log n is off by up to eps t log N, and in-order
+    summation adds up to N eps sum n^(-1/2), with sum n^(-1/2) <= 2 sqrt(N).
+    """
+    s = 0.5 + 1j * t
+    if isinstance(t, np.ndarray):
+        big_n = np.maximum(n_floor, np.ceil(0.7 * t).astype(np.int64) + 30)
+        log_n = _log_range(int(big_n.max()))
+        terms = np.exp(np.multiply.outer(-s, log_n))
+        rows = np.arange(t.size)
+        value = np.cumsum(terms, axis=1)[rows, big_n - 1]
+        n_neg = terms[rows, big_n - 1]  # N^{-s}
+    else:
+        big_n = max(n_floor, math.ceil(0.7 * t) + 30)
+        log_n = _log_range(big_n)
+        terms = np.exp(-s * log_n)
+        value = complex(np.cumsum(terms)[-1])
+        n_neg = complex(terms[-1])
+    # N^{1-s}/(s-1) - N^{-s}/2 = N^{-s} w, with 1/(s-1) = -(1/2 + it)/(1/4 + t^2),
+    # multiplied out in real arithmetic, which rounds alike for floats and arrays
+    w_re, w_im = -0.5 * big_n / (0.25 + t * t) - 0.5, -big_n * t / (0.25 + t * t)
+    value = value + (n_neg.real * w_re - n_neg.imag * w_im)
+    value = value + 1j * (n_neg.real * w_im + n_neg.imag * w_re)
+    n_pow = big_n * n_neg  # N^{1-s-2k}, updated per k
 
     # correction terms T_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^{1-s-2k}
     rising = s  # product of (s+j) for j = 0..2k-2
-    n_pow = big_n ** (1.0 - s)  # N^{1-s-2k}, updated per k
     inv_n2 = 1.0 / (big_n * big_n)
-    fact = 2.0  # (2k)!
-    last_term = 0.0 + 0.0j
-    for k in range(1, _EM_CORRECTION_TERMS + 2):
-        n_pow *= inv_n2
-        term = _BERNOULLI_EVEN[k - 1] / fact * rising * n_pow
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        n_pow = n_pow * inv_n2
+        term = coeff * rising * n_pow
         if k <= _EM_CORRECTION_TERMS:
-            value += term
+            value = value + term
         else:
             last_term = term  # first omitted term, used for the bound
-        rising *= (s + (2 * k - 1)) * (s + (2 * k))
-        fact *= (2 * k + 1) * (2 * k + 2)
+        rising = rising * (s + (2 * k - 1)) * (s + (2 * k))
 
     m2 = 2 * _EM_CORRECTION_TERMS
-    truncation = abs(last_term) * abs(s + m2 + 1) / (s.real + m2 + 1)
-    rounding = 1e-15 * (1.0 + 0.02 * big_n)
+    truncation = abs(last_term) * abs(s + m2 + 1) / (m2 + 1.5)
+    rounding = _EPS * (t * log_n[big_n - 1] + big_n) * 2.0 * big_n**0.5
     return value, truncation + rounding
 
 
@@ -300,26 +290,35 @@ def _riemann_siegel_raw(t: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Public evaluators.
+# Public evaluators, and the accuracy guards every evaluated point passes.
+
+
+def _range_error(t: float) -> AccuracyError:
+    return AccuracyError(f"t = {t:.6g} exceeds the validated range ({VALIDATED_T_MAX:g})")
+
+
+def _bound_error(bound: float, t: float, cfg: EvalConfig) -> AccuracyError:
+    return AccuracyError(
+        f"certified error {bound:.3g} at t = {t:.6g} exceeds "
+        f"target_abs_error = {cfg.target_abs_error:.3g}"
+    )
+
+
+def _rotation_error(residual: float, t: float) -> AccuracyError:
+    return AccuracyError(f"rotation residual {residual:.3g} at t = {t:.6g} exceeds 1e-9")
 
 
 def _zeta_on_line(t: float, cfg: EvalConfig) -> tuple[complex, float]:
     """(zeta(1/2+it), certified bound) for t >= 0, dispatching EM / RS."""
     if t > VALIDATED_T_MAX:
-        raise AccuracyError(
-            f"t = {t:.6g} exceeds the validated range ({VALIDATED_T_MAX:g}) "
-            "of the Riemann-Siegel remainder implementation"
-        )
+        raise _range_error(t)
     if t < cfg.rs_threshold:
-        value, bound = _zeta_euler_maclaurin(0.5 + 1j * t, cfg.euler_maclaurin_terms)
+        value, bound = _zeta_euler_maclaurin(t, cfg.euler_maclaurin_terms)
     else:
         z_val, bound = _riemann_siegel_raw(t)
         value = z_val * cmath.exp(-1j * siegel_theta(t))
     if bound > cfg.target_abs_error:
-        raise AccuracyError(
-            f"certified error {bound:.3g} at t = {t:.6g} exceeds "
-            f"target_abs_error = {cfg.target_abs_error:.3g}"
-        )
+        raise _bound_error(bound, t, cfg)
     return value, bound
 
 
@@ -344,40 +343,87 @@ def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
     if t < 0.0:
         raise ValueError("riemann_siegel_Z requires t >= 0")
     if t > VALIDATED_T_MAX:
-        raise AccuracyError(
-            f"t = {t:.6g} exceeds the validated range ({VALIDATED_T_MAX:g})"
-        )
+        raise _range_error(t)
     if t >= cfg.rs_threshold:
         value, bound = _riemann_siegel_raw(t)
         if bound > cfg.target_abs_error:
-            raise AccuracyError(
-                f"certified error {bound:.3g} at t = {t:.6g} exceeds "
-                f"target_abs_error = {cfg.target_abs_error:.3g}"
-            )
+            raise _bound_error(bound, t, cfg)
         return value
     zeta_val, _ = _zeta_on_line(t, cfg)
     rotated = cmath.exp(1j * siegel_theta(t)) * zeta_val
     if abs(rotated.imag) > 1e-9:
-        raise AccuracyError(
-            f"rotation residual {rotated.imag:.3g} at t = {t:.6g} exceeds 1e-9"
-        )
+        raise _rotation_error(rotated.imag, t)
     return rotated.real
 
 
+_GRID_BLOCK = 256  # grid points per Euler-Maclaurin block: under 1 MB of terms
+
+
+def _z_grid(t: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Z and its certified bound on an ascending grid t >= 0, under every guard
+    of riemann_siegel_Z: Euler-Maclaurin in blocks below cfg.rs_threshold, and
+    riemann_siegel_Z itself, on the Riemann-Siegel branch, from there on."""
+    if t[-1] > VALIDATED_T_MAX:
+        raise _range_error(t[-1])
+    n_em = int(np.searchsorted(t, cfg.rs_threshold))
+    rotated = np.empty(n_em, dtype=np.complex128)
+    bounds = np.empty_like(t)
+    for lo in range(0, n_em, _GRID_BLOCK):
+        block = slice(lo, min(lo + _GRID_BLOCK, n_em))
+        zeta, bounds[block] = _zeta_euler_maclaurin(t[block], cfg.euler_maclaurin_terms)
+        rotated[block] = np.exp(1j * siegel_theta(t[block])) * zeta
+    if (over := bounds[:n_em] > cfg.target_abs_error).any():
+        raise _bound_error(bounds[over.argmax()], t[over.argmax()], cfg)
+    if (over := np.abs(rotated.imag) > 1e-9).any():
+        raise _rotation_error(rotated.imag[over.argmax()], t[over.argmax()])
+    rs_values = [riemann_siegel_Z(x, cfg) for x in t[n_em:]]
+    bounds[n_em:] = [_riemann_siegel_raw(x)[1] for x in t[n_em:]]
+    return np.concatenate([rotated.real, rs_values]), bounds
+
+
 # ---------------------------------------------------------------------------
-# Zero finding.
+# Root refinement and zero finding.
 
 _ZERO_GRID_STEP = 0.04
-_ZERO_BISECT_WIDTH = 2e-10
+_ROOT_XTOL = 1e-12
+
+
+def refinement_config(cfg: EvalConfig, t_max: float) -> EvalConfig:
+    """cfg for refining roots of Z up to t_max, with the Riemann-Siegel threshold
+    lifted above t_max (within the validated range): the Euler-Maclaurin floor
+    ~1e-13 certifies a 1e-9 ordinate, the Riemann-Siegel noise ~1e-8 cannot."""
+    return replace(
+        cfg,
+        rs_threshold=min(max(cfg.rs_threshold, t_max + 16.0), VALIDATED_T_MAX),
+        target_abs_error=max(cfg.target_abs_error, 1e-10),
+    )
+
+
+def refine_root(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float
+) -> tuple[float, float, float, float]:
+    """Brent's method on f over [a, b], given fa = f(a) and fb = f(b) of opposite signs.
+
+    Returns (root, f(root), width, slope): f changes sign within width of the
+    root (width 0 when f(root) == 0), and slope is the secant slope across
+    that bracket, whose far end is the nearest evaluated point of other sign.
+    """
+    seen = {a: fa, b: fb}
+    root = optimize.brentq(
+        lambda x: seen[x] if x in seen else seen.setdefault(x, f(x)), a, b, xtol=_ROOT_XTOL
+    )
+    f_root = seen.pop(root)
+    other = min((x for x in seen if seen[x] * f_root <= 0.0), key=lambda x: abs(x - root))
+    width = 0.0 if f_root == 0.0 else abs(other - root)
+    return root, f_root, width, abs(seen[other] - f_root) / abs(other - root)
 
 
 def find_zeros(t_min: float, t_max: float, cfg: EvalConfig | None = None) -> list[ZetaZero]:
-    """All critical zeros with ordinate in (t_min, t_max], bisected on Z.
+    """All critical zeros with ordinate in (t_min, t_max].
 
-    Refinement always runs on the Euler-Maclaurin branch (the dispatch
-    threshold is lifted above t_max): its evaluation floor ~1e-13 is what
-    certifies the 1e-9 ordinate error, which the Riemann-Siegel branch
-    cannot do near its own ~1e-8 noise floor.
+    Sign changes of Z on a block-evaluated grid of step <= 0.04 are refined by
+    refine_root under refinement_config. abs_error is the bracket width plus
+    the evaluation bound over the secant slope.
     """
     if cfg is None:
         cfg = EvalConfig()
@@ -388,37 +434,17 @@ def find_zeros(t_min: float, t_max: float, cfg: EvalConfig | None = None) -> lis
             "multiplicity detection is not provided; synthetic multiplicities "
             "are exercised through the sheaf module"
         )
-    refine_cfg = replace(
-        cfg,
-        rs_threshold=min(max(cfg.rs_threshold, t_max + 16.0), VALIDATED_T_MAX),
-        target_abs_error=max(cfg.target_abs_error, 1e-10),
-    )
+    refine_cfg = refinement_config(cfg, t_max)
 
     n_steps = int(math.ceil((t_max - t_min) / _ZERO_GRID_STEP))
-    grid = [t_min + (t_max - t_min) * i / n_steps for i in range(n_steps + 1)]
-    values = [riemann_siegel_Z(t, refine_cfg) for t in grid]
-
+    grid = t_min + (t_max - t_min) * np.arange(n_steps + 1) / n_steps
+    values, bounds = _z_grid(grid, refine_cfg)
+    z = partial(riemann_siegel_Z, cfg=refine_cfg)
     zeros: list[ZetaZero] = []
-    for i in range(n_steps):
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            continue  # grid point exactly on a zero: handled by the bracket ahead
-        if fa * fb > 0.0:
-            continue
-        a, b = grid[i], grid[i + 1]
-        while b - a > _ZERO_BISECT_WIDTH:
-            mid = 0.5 * (a + b)
-            fm = riemann_siegel_Z(mid, refine_cfg)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        slope = abs(fb - fa) / max(b - a, 1e-300) if b > a else 1.0
-        abs_error = 0.5 * (b - a) + 2e-13 / max(slope, 0.05)
-        zeros.append(ZetaZero(0.5 * (a + b), 1, min(abs_error, 1e-9)))
+    # a grid point exactly on a zero is left to the bracket that ends there
+    for i in np.flatnonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] <= 0.0)):
+        root, _, width, slope = refine_root(z, grid[i], values[i], grid[i + 1], values[i + 1])
+        zeros.append(ZetaZero(root, 1, float(width + max(bounds[i], bounds[i + 1]) / slope)))
     return zeros
 
 

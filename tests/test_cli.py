@@ -43,8 +43,8 @@ class TestConfig:
             cli.RunConfig(L_window=(0.5, 0.4))
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(family_ks=())
-        with pytest.raises(cli.ConfigError):
-            cli.RunConfig(threads=0)
+        with pytest.raises(TypeError):
+            cli.RunConfig(threads=1)  # the knob had no effect and is gone
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -99,6 +99,20 @@ class TestConfig:
         assert (store / "zeros.csv").exists()
         assert not (tmp_path / "zeros.csv").exists()
         assert run("--t-max", "20", "laplacian") == cli.EXIT_OK
+
+
+class TestLibraryErrors:
+    """Errors the library raises end in exit 2 and one line on stderr."""
+
+    def test_unvalidated_range(self, capsys):
+        assert run("--t-max", "300", "zeros") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: AccuracyError:") and err.count("\n") == 1
+
+    def test_unknown_family_member(self, capsys):
+        assert run("--family-ks", "9", "verify") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and err.count("\n") == 1
 
 
 class TestZeros:
@@ -183,11 +197,12 @@ class TestScan:
         assert dips[0]["matched_zero"] == pytest.approx(ZERO_ORDINATES[0])
         assert dips[0]["distance"] <= 1e-6
         assert abs(dips[0]["L_star"] - L_STAR) <= 1e-8
+        assert dips[0]["z_residual"] < 1e-8
         assert b"seconds" not in first_dips
 
         runtime = json.loads((reports / "scan_runtime.json").read_text())
         assert runtime["command"] == "scan"
-        assert runtime["threads_used"] == 1
+        assert "threads_used" not in runtime
         assert "profile_seconds" in runtime
 
     def test_csv_header(self, tmp_path):

@@ -19,7 +19,7 @@ from zetacycles.cycles import (
     svd_dip_score,
 )
 from zetacycles.schwartz import linear_combination, make_test_function
-from zetacycles.specfun import zeta_critical
+from zetacycles.specfun import VALIDATED_T_MAX, zeta_critical
 
 T1 = ZERO_ORDINATES[0]
 L_STAR = 2.0 * math.pi / T1
@@ -71,6 +71,12 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect(1.0, family, tol=0.0)
 
+    def test_short_length_returns_verdict(self, family):
+        # padding rows used to reach t = 289 here and raise AccuracyError
+        report = detect(0.2, family)
+        assert not report.verdict
+        assert max(abs(2.0 * math.pi * n / 0.2) for n in report.zeta_scores) <= VALIDATED_T_MAX
+
     def test_degenerate_family_rejected(self, family):
         faint = linear_combination([family[0]], [1e-220])
         with pytest.raises(FamilyDegenerateError):
@@ -100,6 +106,10 @@ class TestScan:
             scan(0.5, 0.4, 1e-3, family)
         with pytest.raises(ValueError):
             scan(0.4, 0.5, -1e-3, family)
+
+    def test_no_row_below_t_max(self, family):
+        with pytest.raises(ValueError, match="no row frequency below t_max"):
+            scan(0.05, 0.06, 1e-3, family)
 
 
 class TestCovering:
@@ -156,3 +166,11 @@ def test_mode_count_covers_band():
         n = mode_count(L, 60.0)
         assert 2.0 * math.pi * n / L > 60.0
         assert 2.0 * math.pi * (n - 9) / L <= 60.0
+
+
+def test_mode_count_padding_stays_validated():
+    for L in (0.05, 0.1, 0.2, 0.25, 0.5):
+        for t_max in (20.0, 60.0, 250.0):
+            n = mode_count(L, t_max)
+            assert n >= math.floor(L * t_max / (2.0 * math.pi))
+            assert 2.0 * math.pi * n / L <= VALIDATED_T_MAX

@@ -14,6 +14,7 @@ from _oracle_frozen import (
     ZETA_HALF,
     ZETA_JET_SAMPLES,
 )
+from zetacycles import specfun
 from zetacycles.specfun import (
     VALIDATED_T_MAX,
     AccuracyError,
@@ -25,6 +26,7 @@ from zetacycles.specfun import (
     gamma_complex,
     log_gamma,
     read_zero_cache,
+    refinement_config,
     riemann_siegel_Z,
     siegel_theta,
     write_zero_cache,
@@ -177,6 +179,86 @@ class TestFindZeros:
         )
         with pytest.raises(ValueError):
             read_zero_cache(path)
+
+
+class TestBlockEvaluation:
+    """The block path of the Euler-Maclaurin routine, and the Z grid on it."""
+
+    @staticmethod
+    def em_points(cfg):
+        lifted = refinement_config(cfg, 250.0).rs_threshold
+        return np.concatenate(
+            [np.linspace(0.0, 99.9, 700), np.linspace(lifted - 1.0, lifted, 50, endpoint=False)]
+        )
+
+    def test_block_matches_points(self, cfg):
+        t = self.em_points(cfg)
+        for lo in range(0, t.size, 256):
+            block = t[lo : lo + 256]
+            values, bounds = specfun._zeta_euler_maclaurin(block, cfg.euler_maclaurin_terms)
+            for x, value, bound in zip(block, values, bounds):
+                v1, b1 = specfun._zeta_euler_maclaurin(float(x), cfg.euler_maclaurin_terms)
+                assert abs(value - v1) <= 1e-15 * abs(v1), x
+                assert abs(bound - b1) <= 1e-15 * b1, x
+
+    def test_z_grid_matches_points(self, cfg):
+        rcfg = refinement_config(cfg, 250.0)
+        t = self.em_points(cfg)
+        values, _ = specfun._z_grid(t, rcfg)
+        for x, value in zip(t, values):
+            z1 = riemann_siegel_Z(float(x), rcfg)
+            assert abs(value - z1) <= 1e-15 * abs(z1), x
+
+    def test_points_at_threshold_take_riemann_siegel(self, cfg):
+        t = np.array([90.0, 99.5, cfg.rs_threshold, 130.0])
+        values, bounds = specfun._z_grid(t, cfg)
+        for x, value in zip(t, values):
+            assert value == pytest.approx(riemann_siegel_Z(float(x), cfg), rel=1e-15)
+        for x, bound in zip(t[2:], bounds[2:]):
+            assert bound == specfun._riemann_siegel_raw(float(x))[1]
+
+    def test_guards_raise_on_block(self, cfg, monkeypatch):
+        with pytest.raises(AccuracyError, match="validated range"):
+            specfun._z_grid(np.array([250.0, VALIDATED_T_MAX + 1.0]), cfg)
+        tight = EvalConfig(target_abs_error=1e-14)
+        with pytest.raises(AccuracyError, match="certified error"):
+            specfun._z_grid(np.linspace(1.0, 50.0, 10), tight)
+        with pytest.raises(AccuracyError, match="certified error"):
+            riemann_siegel_Z(1.0, tight)
+        # the Riemann-Siegel points keep their own bound check
+        rs_tight = EvalConfig(target_abs_error=1e-10)
+        specfun._z_grid(np.array([50.0, 99.0]), rs_tight)
+        with pytest.raises(AccuracyError, match="certified error"):
+            specfun._z_grid(np.array([50.0, 150.0]), rs_tight)
+        exact_theta = specfun.siegel_theta
+        monkeypatch.setattr(specfun, "siegel_theta", lambda t: exact_theta(t) + 1e-3)
+        with pytest.raises(AccuracyError, match="rotation residual"):
+            specfun._z_grid(np.linspace(10.0, 20.0, 5), cfg)
+        with pytest.raises(AccuracyError, match="rotation residual"):
+            riemann_siegel_Z(10.0, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=VALIDATED_T_MAX))
+def test_em_bound_covers_error(t):
+    """The Euler-Maclaurin bound holds against a 30-digit evaluation."""
+    mpmath = pytest.importorskip("mpmath")
+    value, bound = specfun._zeta_euler_maclaurin(t, EvalConfig().euler_maclaurin_terms)
+    with mpmath.workdps(30):
+        exact = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
+    assert abs(value - exact) <= bound
+
+
+def test_find_zeros_to_250_against_mpmath(cfg):
+    """108 zeros up to t = 250; each abs_error bounds the distance to the
+    matching mpmath zero (a spread sample: the full set takes 20 s)."""
+    mpmath = pytest.importorskip("mpmath")
+    zeros = find_zeros(0.0, 250.0, cfg)
+    assert len(zeros) == 108
+    for k in (1, 16, 31, 46, 61, 76, 91, 106, 108):
+        with mpmath.workdps(20):
+            exact = float(mpmath.zetazero(k).imag)
+        assert abs(zeros[k - 1].ordinate - exact) <= zeros[k - 1].abs_error <= 1e-9
 
 
 class TestJets:
