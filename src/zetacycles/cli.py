@@ -217,8 +217,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         {"command": "scan", "dips": [_dip_payload(d, zeros) for d in result.dips]},
     )
     stats = dict(result.runtime_stats)
-    if "seconds" in stats:
-        stats["profile_seconds"] = stats.pop("seconds")
+    stats["profile_seconds"] = stats.pop("seconds")
     _write_runtime(out_dir, "scan", time.perf_counter() - t0, stats)
     return EXIT_OK
 

@@ -16,8 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .schwartz import TestFunction, mellin_psi
+from .schwartz import TestFunction, mellin_psi, mellin_psi_many
 from .specfun import (
+    _GRID_BLOCK,
     VALIDATED_T_MAX,
     EvalConfig,
     ZetaZero,
@@ -26,6 +27,7 @@ from .specfun import (
     refinement_config,
     riemann_siegel_Z,
     zeta_critical,
+    zeta_critical_many,
 )
 
 __all__ = [
@@ -54,6 +56,8 @@ _TWO_PI = 2.0 * math.pi
 _PSI_FLOOR = 1e-250
 
 _REFINE_TRIGGER = 0.5
+
+_SCAN_CELLS = 1 << 16  # (L, n) cells per scan chunk: about 0.5 MB per work array
 
 
 class FamilyDegenerateError(ValueError):
@@ -223,26 +227,33 @@ def scan(
         cfg = EvalConfig()
     started = time.perf_counter()
     count = int(math.floor((L_max - L_min) / step + 1e-9)) + 1
-    l_values = [L_min + i * step for i in range(count)]
+    l_values = L_min + step * np.arange(count)
+    if _TWO_PI / L_min > t_max:  # the frequency of row 1 falls as L grows
+        raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L_min:g}")
 
-    profile: list[tuple[float, float]] = []
-    argmin_n: list[int] = []
-    for L in l_values:
-        n_modes, _, _, zscores = _row_data(L, family, t_max, cfg)
-        best_score = math.inf
-        best_n = 0
-        for i, n in enumerate(range(-n_modes, n_modes + 1)):
-            if n <= 0:
-                continue  # scores are symmetric in n for real families
-            if _TWO_PI * n / L > t_max:
-                continue
-            if zscores[i] < best_score:
-                best_score = float(zscores[i])
-                best_n = n
-        if best_n == 0:
-            raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L:g}")
-        profile.append((L, best_score))
-        argmin_n.append(best_n)
+    # |zeta| is the row score: one zeta_critical_many call per chunk of at most
+    # _SCAN_CELLS (L, n >= 1) cells, at the pairs with 2 pi n / L <= t_max
+    n = np.arange(1, math.floor(l_values[-1] * t_max / _TWO_PI) + 2)
+    rows = max(1, _SCAN_CELLS // n.size)
+    best, argmin_n = np.empty(count), np.empty(count, dtype=np.int64)
+    zeta_points = zeta_blocks = 0
+    for first in range(0, count, rows):
+        chunk = slice(first, first + rows)
+        s = _TWO_PI * n / l_values[chunk, None]
+        pairs = s <= t_max
+        t = s[pairs]
+        scores = np.full(s.shape, np.inf)
+        scores[pairs] = np.abs(zeta_critical_many(t, cfg))
+        psi_max = np.max([np.abs(mellin_psi_many(f, t)) for f in family], axis=0)
+        if (low := psi_max < _PSI_FLOOR).any():
+            raise FamilyDegenerateError(
+                f"family Mellin factors all below {_PSI_FLOOR:g} at s = {t[low.argmax()]:.6g}"
+            )
+        best[chunk], argmin_n[chunk] = scores.min(axis=1), n[scores.argmin(axis=1)]
+        zeta_points += t.size
+        zeta_blocks += -(-int(np.count_nonzero(t < cfg.rs_threshold)) // _GRID_BLOCK)
+    profile = list(zip(l_values.tolist(), best.tolist()))
+    argmin_n = argmin_n.tolist()
 
     z = partial(riemann_siegel_Z, cfg=refinement_config(cfg, t_max))
     dips: list[Dip] = []
@@ -254,7 +265,7 @@ def scan(
             continue
         n_star = argmin_n[i]
         # frequency falls as L grows, so the bracket's ends swap
-        lo, hi = _TWO_PI * n_star / l_values[i + 1], _TWO_PI * n_star / l_values[i - 1]
+        lo, hi = _TWO_PI * n_star / profile[i + 1][0], _TWO_PI * n_star / profile[i - 1][0]
         z_lo, z_hi = z(lo), z(hi)
         if z_lo * z_hi > 0.0:
             continue
@@ -269,6 +280,8 @@ def scan(
         "grid_points": count,
         "dips_refined": len(dips),
         "seconds": time.perf_counter() - started,
+        "zeta_points": zeta_points,
+        "zeta_blocks": zeta_blocks,
     }
     return ScanResult(grid=profile, dips=dips, runtime_stats=stats)
 

@@ -13,9 +13,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .operators import CircleFunction
 from .specfun import (
@@ -24,6 +24,9 @@ from .specfun import (
     finite_difference_weights,
     zeta_critical,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "GlobalSection",
@@ -87,6 +90,7 @@ class SampledFunction:
 
     @cached_property
     def _spline(self) -> CubicSpline:
+        from scipy.interpolate import CubicSpline  # loaded on first use: ~20 MB resident
         return CubicSpline(self.grid, self.values)
 
     def __call__(self, L: float) -> complex:
@@ -122,6 +126,7 @@ class GlobalSection:
 
     @cached_property
     def _splines(self) -> tuple[CubicSpline, CubicSpline]:
+        from scipy.interpolate import CubicSpline  # loaded on first use: ~20 MB resident
         return (CubicSpline(self.grid, self.f_plus),
                 CubicSpline(self.grid, self.f_minus))
 

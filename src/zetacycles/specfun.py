@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "AccuracyError",
@@ -38,6 +38,7 @@ __all__ = [
     "siegel_theta",
     "write_zero_cache",
     "zeta_critical",
+    "zeta_critical_many",
     "zeta_jet",
 ]
 
@@ -64,14 +65,11 @@ class EvalConfig:
 
     euler_maclaurin_terms is a floor for the Euler-Maclaurin main-sum length;
     the effective length grows with |t| to keep the Bernoulli tail convergent.
-    assume_simple_zeros only gates find_zeros; synthetic multiplicities live
-    in the sheaf layer.
     """
 
     euler_maclaurin_terms: int = 40
     rs_threshold: float = 100.0
     target_abs_error: float = 1e-6
-    assume_simple_zeros: bool = True
 
     def __post_init__(self) -> None:
         if self.euler_maclaurin_terms < 1:
@@ -356,7 +354,40 @@ def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
     return rotated.real
 
 
-_GRID_BLOCK = 256  # grid points per Euler-Maclaurin block: under 1 MB of terms
+_GRID_BLOCK = 256  # points per Euler-Maclaurin block: under 1 MB of terms
+
+
+def _em_blocks(t: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(1/2 + it) and its certified bound at t >= 0 by Euler-Maclaurin, in
+    blocks of _GRID_BLOCK points; raises if a bound exceeds the target."""
+    values, bounds = np.empty(t.size, dtype=np.complex128), np.empty(t.size)
+    for lo in range(0, t.size, _GRID_BLOCK):
+        block = slice(lo, lo + _GRID_BLOCK)
+        values[block], bounds[block] = _zeta_euler_maclaurin(t[block], cfg.euler_maclaurin_terms)
+    if (over := bounds > cfg.target_abs_error).any():
+        raise _bound_error(bounds[over.argmax()], t[over.argmax()], cfg)
+    return values, bounds
+
+
+def zeta_critical_many(t, cfg: EvalConfig | None = None) -> np.ndarray:
+    """zeta(1/2 + it) at each point of a 1-D array of real t, under every guard of
+    zeta_critical: Euler-Maclaurin in blocks below cfg.rs_threshold, in order of
+    |t| so a block's sum lengths stay alike, zeta_critical's Riemann-Siegel
+    branch above, conjugation for t < 0."""
+    if cfg is None:
+        cfg = EvalConfig()
+    t = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
+    a = np.abs(t)
+    order = np.argsort(a)
+    if order.size and a[order[-1]] > VALIDATED_T_MAX:
+        raise _range_error(a[order[-1]])
+    n_em = int(np.searchsorted(a[order], cfg.rs_threshold))
+    values = np.empty(t.size, dtype=np.complex128)
+    values[order[:n_em]] = _em_blocks(a[order[:n_em]], cfg)[0]
+    values[order[n_em:]] = [_zeta_on_line(x, cfg)[0] for x in a[order[n_em:]]]
+    return np.where(t < 0.0, values.conj(), values)
 
 
 def _z_grid(t: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -366,19 +397,13 @@ def _z_grid(t: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
     if t[-1] > VALIDATED_T_MAX:
         raise _range_error(t[-1])
     n_em = int(np.searchsorted(t, cfg.rs_threshold))
-    rotated = np.empty(n_em, dtype=np.complex128)
-    bounds = np.empty_like(t)
-    for lo in range(0, n_em, _GRID_BLOCK):
-        block = slice(lo, min(lo + _GRID_BLOCK, n_em))
-        zeta, bounds[block] = _zeta_euler_maclaurin(t[block], cfg.euler_maclaurin_terms)
-        rotated[block] = np.exp(1j * siegel_theta(t[block])) * zeta
-    if (over := bounds[:n_em] > cfg.target_abs_error).any():
-        raise _bound_error(bounds[over.argmax()], t[over.argmax()], cfg)
+    zeta, em_bounds = _em_blocks(t[:n_em], cfg)
+    rotated = np.exp(1j * siegel_theta(t[:n_em])) * zeta
     if (over := np.abs(rotated.imag) > 1e-9).any():
         raise _rotation_error(rotated.imag[over.argmax()], t[over.argmax()])
     rs_values = [riemann_siegel_Z(x, cfg) for x in t[n_em:]]
-    bounds[n_em:] = [_riemann_siegel_raw(x)[1] for x in t[n_em:]]
-    return np.concatenate([rotated.real, rs_values]), bounds
+    rs_bounds = [_riemann_siegel_raw(x)[1] for x in t[n_em:]]
+    return np.concatenate([rotated.real, rs_values]), np.concatenate([em_bounds, rs_bounds])
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +427,47 @@ def refinement_config(cfg: EvalConfig, t_max: float) -> EvalConfig:
 def refine_root(
     f: Callable[[float], float], a: float, fa: float, b: float, fb: float
 ) -> tuple[float, float, float, float]:
-    """Brent's method on f over [a, b], given fa = f(a) and fb = f(b) of opposite signs.
-
+    """Brent's method on f over [a, b], given fa = f(a) and fb = f(b) of opposite
+    signs: scipy.optimize.brentq's iteration (brentq.c) step for step, at
+    xtol = _ROOT_XTOL and rtol = 4 eps, so the same root from the same calls.
     Returns (root, f(root), width, slope): f changes sign within width of the
     root (width 0 when f(root) == 0), and slope is the secant slope across
-    that bracket, whose far end is the nearest evaluated point of other sign.
-    """
+    that bracket, whose far end is the nearest evaluated point of other sign."""
     seen = {a: fa, b: fb}
-    root = optimize.brentq(
-        lambda x: seen[x] if x in seen else seen.setdefault(x, f(x)), a, b, xtol=_ROOT_XTOL
-    )
-    f_root = seen.pop(root)
+    xpre, fpre, xcur, fcur = float(a), fa, float(b), fb
+    if fpre == 0.0:
+        xcur, fcur = xpre, fpre  # the loop then stops at once, at a
+    elif fcur != 0.0 and math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + 4.0 * _EPS * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            break
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # a good short step, or bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        if math.isnan(fcur := seen.setdefault(xcur, f(xcur))):
+            raise ValueError(f"f({xcur!r}) is NaN; Brent's method cannot continue")
+    else:
+        raise RuntimeError("Brent's method failed to converge after 100 iterations")
+    root, f_root = xcur, seen.pop(xcur)
     other = min((x for x in seen if seen[x] * f_root <= 0.0), key=lambda x: abs(x - root))
     width = 0.0 if f_root == 0.0 else abs(other - root)
     return root, f_root, width, abs(seen[other] - f_root) / abs(other - root)
@@ -429,11 +484,6 @@ def find_zeros(t_min: float, t_max: float, cfg: EvalConfig | None = None) -> lis
         cfg = EvalConfig()
     if not (0.0 <= t_min < t_max):
         raise ValueError("need 0 <= t_min < t_max")
-    if not cfg.assume_simple_zeros:
-        raise NotImplementedError(
-            "multiplicity detection is not provided; synthetic multiplicities "
-            "are exercised through the sheaf module"
-        )
     refine_cfg = refinement_config(cfg, t_max)
 
     n_steps = int(math.ceil((t_max - t_min) / _ZERO_GRID_STEP))

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,20 @@ def run(*args: str) -> int:
 
 def seed_cache(t_max: float = 20.0) -> None:
     assert run("--t-max", str(t_max), "zeros") == cli.EXIT_OK
+
+
+def test_import_loads_only_scipy_special():
+    """Importing the package and its CLI leaves scipy's root finders and
+    interpolators unloaded; each costs megabytes of resident memory."""
+    code = (
+        "import sys, zetacycles, zetacycles.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -204,6 +222,8 @@ class TestScan:
         assert runtime["command"] == "scan"
         assert "threads_used" not in runtime
         assert "profile_seconds" in runtime
+        # 31 lengths with one row each below t = 20, in one Euler-Maclaurin block
+        assert (runtime["zeta_points"], runtime["zeta_blocks"]) == (31, 1)
 
     def test_csv_header(self, tmp_path):
         seed_cache(20.0)

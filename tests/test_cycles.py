@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
+from zetacycles import cycles
 from zetacycles.cycles import (
     DetectionMatrix,
     EmptySpectrumError,
@@ -18,11 +19,24 @@ from zetacycles.cycles import (
     scan,
     svd_dip_score,
 )
-from zetacycles.schwartz import linear_combination, make_test_function
+from zetacycles.schwartz import linear_combination, make_test_function, mellin_psi
 from zetacycles.specfun import VALIDATED_T_MAX, zeta_critical
 
 T1 = ZERO_ORDINATES[0]
 L_STAR = 2.0 * math.pi / T1
+
+# the criterion-3 sweep's dips in order of L*, as (mode n, k of the zero t_k)
+CRITERION_3_DIPS = [
+    (2, 7), (3, 13), (3, 12), (3, 11), (3, 10), (2, 5), (3, 9), (2, 4), (4, 13), (3, 8),
+    (1, 1), (3, 7), (4, 11), (2, 3), (4, 10), (4, 9), (5, 13), (5, 12), (3, 5), (4, 8),
+    (5, 11), (2, 2), (4, 7), (3, 4), (5, 10), (6, 13), (5, 9), (6, 12), (6, 11), (5, 8),
+    (7, 13), (3, 3), (6, 10), (4, 5), (5, 7), (7, 12), (6, 9), (4, 4), (7, 11), (5, 6),
+    (8, 13), (6, 8), (7, 10), (2, 1), (3, 2), (7, 9), (6, 7), (8, 11), (5, 5), (6, 6),
+    (4, 3), (8, 10), (7, 8), (5, 4), (8, 9), (10, 13), (9, 11), (7, 7), (10, 12), (9, 10),
+    (6, 5), (8, 8), (11, 13), (7, 6), (9, 9), (10, 11), (4, 2), (11, 12), (8, 7), (6, 4),
+    (5, 3), (10, 10), (12, 13), (9, 8), (10, 9), (3, 1), (8, 6), (13, 13), (9, 7), (11, 10),
+    (12, 11), (11, 9), (13, 12), (10, 8), (14, 13), (5, 2),
+]
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +124,44 @@ class TestScan:
     def test_no_row_below_t_max(self, family):
         with pytest.raises(ValueError, match="no row frequency below t_max"):
             scan(0.05, 0.06, 1e-3, family)
+
+    def test_profile_is_the_row_score(self, family):
+        # the profile is min |zeta| over the rows; the detection matrix must agree
+        result = scan(0.3, 1.5, 1e-3, family, t_max=60.0)
+        for L, score in result.grid[::40]:
+            matrix = build_matrix(L, family, t_max=60.0)
+            row_scores = []
+            for n in range(1, matrix.N + 1):
+                s = 2.0 * math.pi * n / L
+                if s <= 60.0:
+                    psi_max = max(abs(mellin_psi(f, s).psi) for f in family)
+                    row_scores.append(math.sqrt(L) * np.max(np.abs(matrix.row(n))) / psi_max)
+            assert abs(score - min(row_scores)) <= 1e-14 * score, L
+
+    @pytest.mark.parametrize("cells", [1, 40])
+    def test_chunked_profile_matches_one_chunk(self, family, monkeypatch, cells):
+        """A window walked in many small chunks gives the profile, dips and
+        point count of the same window in one chunk."""
+        whole = scan(0.3, 0.9, 1e-3, family, t_max=60.0)
+        monkeypatch.setattr(cycles, "_SCAN_CELLS", cells)
+        chunked = scan(0.3, 0.9, 1e-3, family, t_max=60.0)
+        assert chunked.grid == whole.grid
+        assert chunked.dips == whole.dips
+        assert chunked.runtime_stats["zeta_points"] == whole.runtime_stats["zeta_points"]
+        assert chunked.runtime_stats["zeta_blocks"] > whole.runtime_stats["zeta_blocks"]
+
+    def test_criterion_3_dips_unchanged(self, family):
+        """Every dip of the criterion-3 sweep, as (mode n, index k of the zero
+        t_k it lands on), with L* = 2 pi n / t_k to 1e-12."""
+        result = scan(0.3, 1.5, 1e-3, family, t_max=60.0, tol=1e-4)
+        got = []
+        for dip in result.dips:
+            k = min(range(13), key=lambda k: abs(ZERO_ORDINATES[k] - dip.s))
+            assert abs(dip.L_star - 2.0 * math.pi * dip.n / ZERO_ORDINATES[k]) <= 1e-12
+            got.append((dip.n, k + 1))
+        assert got == CRITERION_3_DIPS
+        assert result.runtime_stats["zeta_points"] == 9726
+        assert result.runtime_stats["zeta_blocks"] == 38
 
 
 class TestCovering:

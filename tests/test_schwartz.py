@@ -12,6 +12,7 @@ from _oracle_frozen import (
     PSI_F0_SAMPLES,
     PSI_F1_SAMPLES,
 )
+from zetacycles import schwartz
 from zetacycles.schwartz import (
     MellinDomainError,
     RepresentationError,
@@ -24,6 +25,7 @@ from zetacycles.schwartz import (
     linear_combination,
     make_test_function,
     mellin_psi,
+    mellin_psi_many,
 )
 
 
@@ -162,6 +164,34 @@ class TestMellin:
         zero = linear_combination([make_test_function(0)], [0.0])
         assert zero.is_zero
         assert mellin_psi(zero, 1.0).psi == 0.0
+        assert np.array_equal(mellin_psi_many(zero, np.array([0.0, 2.0])), [0.0, 0.0])
+
+
+class TestMellinMany:
+    """The array path shares the closed form with the scalar one."""
+
+    def test_matches_scalar(self, family, canonical):
+        z = np.concatenate([np.linspace(-280.0, 280.0, 401), [0.5j, 3.0 + 0.2j, -1.0 - 0.4j]])
+        for f in [*family, canonical, gaussian_seed(8)]:
+            many = mellin_psi_many(f, z)
+            assert many.shape == z.shape
+            for x, value in zip(z, many):
+                one = mellin_psi(f, x).psi
+                assert abs(value - one) <= 1e-15 * abs(one), (f.label, x)
+
+    def test_domain_error(self, family):
+        with pytest.raises(MellinDomainError):
+            mellin_psi_many(family[0], np.array([1.0, 2.0 - 0.5j]))
+        assert mellin_psi_many(family[0], np.array([])).shape == (0,)
+
+    def test_quadrature_without_closed_form(self, family):
+        bare = schwartz.TestFunction(coeffs=family[1].coeffs)
+        assert bare.closed_form_psi is None
+        z = np.array([-3.0, 0.0, 1.5, 4.0])
+        many = mellin_psi_many(bare, z)
+        for x, value in zip(z, many):
+            assert value == mellin_psi(bare, x).psi
+            assert abs(value - mellin_psi(family[1], x).psi) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
