@@ -131,9 +131,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_runtime(out_dir: Path, command: str, seconds: float, extra=None) -> None:
-    payload = {"command": command, "seconds": seconds}
-    if extra:
-        payload.update(extra)
+    payload = {"command": command, "seconds": seconds, **(extra or {})}
     _write_json(out_dir / f"{command}_runtime.json", payload)
 
 
@@ -144,13 +142,16 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
             f"zero cache {cache} not found; run `zetacycles zeros` first"
         )
     meta_file = _meta_path(cache)
-    if meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        if meta.get("t_max", 0.0) < cfg.t_max:
-            raise MissingCacheError(
-                f"zero cache {cache} covers t <= {meta.get('t_max')}, need"
-                f" {cfg.t_max}; rerun `zetacycles zeros`"
-            )
+    if not meta_file.exists():  # an interrupted `zeros`: coverage unknown
+        raise MissingCacheError(
+            f"zero cache {cache} has no {meta_file.name}; rerun `zetacycles zeros`"
+        )
+    meta = json.loads(meta_file.read_text())
+    if meta.get("t_max", 0.0) < cfg.t_max:
+        raise MissingCacheError(
+            f"zero cache {cache} covers t <= {meta.get('t_max')}, need"
+            f" {cfg.t_max}; rerun `zetacycles zeros`"
+        )
     return specfun.read_zero_cache(cache)
 
 
@@ -160,16 +161,16 @@ def cmd_zeros(cfg: RunConfig) -> int:
     cache = cfg.resolved_cache_path()
     out_dir = Path(cfg.output_dir)
     meta_file = _meta_path(cache)
-    reused = False
-    if cache.exists() and meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        if meta.get("t_max", -1.0) >= cfg.t_max:
-            reused = True
+    reused = cache.exists() and meta_file.exists() and (
+        json.loads(meta_file.read_text()).get("t_max", -1.0) >= cfg.t_max
+    )
     if not reused:
         zeros = specfun.find_zeros(0.0, cfg.t_max)
         cache.parent.mkdir(parents=True, exist_ok=True)
         specfun.write_zero_cache(cache, zeros)
-        _write_json(meta_file, {"t_max": cfg.t_max, "count": len(zeros)})
+        meta = {"t_max": cfg.t_max, "count": len(zeros)}
+        with specfun.open_replacing(meta_file) as fh:  # the sidecar last, once the cache is whole
+            fh.write(json.dumps(meta, indent=1, sort_keys=True) + "\n")
     count = len(specfun.read_zero_cache(cache))
     _write_json(
         out_dir / "zeros_report.json",
@@ -184,18 +185,13 @@ def _family(cfg: RunConfig) -> list[schwartz.TestFunction]:
 
 
 def _dip_payload(dip: cycles.Dip, zeros: list[ZetaZero]) -> dict:
-    match: float | None = None
-    dist: float | None = None
-    if zeros:
-        nearest = min(zeros, key=lambda z: abs(z.ordinate - dip.s))
-        match = nearest.ordinate
-        dist = abs(nearest.ordinate - dip.s)
+    nearest = min(zeros, key=lambda z: abs(z.ordinate - dip.s), default=None)
     return {
         "L_star": dip.L_star,
         "n": dip.n,
         "s": dip.s,
-        "matched_zero": match,
-        "distance": dist,
+        "matched_zero": None if nearest is None else nearest.ordinate,
+        "distance": None if nearest is None else abs(nearest.ordinate - dip.s),
         "z_residual": dip.z_residual,
     }
 
@@ -205,7 +201,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     zeros = load_zeros(cfg)
     lo, hi = cfg.L_window
-    result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max, cfg.tol)
+    result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -367,18 +363,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "zeros":
-            return cmd_zeros(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg)
-        if args.command == "detect":
-            return cmd_detect(cfg, args.L)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "laplacian":
-            return cmd_laplacian(cfg)
-        if args.command == "jets":
-            return cmd_jets(cfg, args.section)
+        commands = {
+            "zeros": cmd_zeros,
+            "scan": cmd_scan,
+            "detect": lambda cfg: cmd_detect(cfg, args.L),
+            "verify": cmd_verify,
+            "laplacian": cmd_laplacian,
+            "jets": lambda cfg: cmd_jets(cfg, args.section),
+        }
+        return commands[args.command](cfg)
     except (ConfigError, MissingCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -388,7 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc.filename or ''}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable command dispatch")
 
 
 if __name__ == "__main__":

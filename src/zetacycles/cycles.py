@@ -1,5 +1,6 @@
-"""Cycle detection: row-collapse scores over circle lengths, dip scanning
-with root refinement, covering stability, and the complement spectrum.
+"""Cycle detection: row-collapse scores over circle lengths, a scan for the
+lengths where a row's Z changes sign, covering stability, and the complement
+spectrum.
 
 A circle length L is flagged when some Fourier row of the detection matrix
 collapses; because every entry factors as L^(-1/2) zeta(1/2 - i s_n) times a
@@ -22,10 +23,12 @@ from .specfun import (
     VALIDATED_T_MAX,
     EvalConfig,
     ZetaZero,
+    _sign_changes,
     find_zeros,
     refine_root,
     refinement_config,
     riemann_siegel_Z,
+    rotate_to_Z,
     zeta_critical,
     zeta_critical_many,
 )
@@ -54,8 +57,6 @@ _TWO_PI = 2.0 * math.pi
 # all of R, merely decaying like exp(-pi s / 4); the floor sits far below
 # that decay across every representable frequency.
 _PSI_FLOOR = 1e-250
-
-_REFINE_TRIGGER = 0.5
 
 _SCAN_CELLS = 1 << 16  # (L, n) cells per scan chunk: about 0.5 MB per work array
 
@@ -175,15 +176,13 @@ def detect(
     if cfg is None:
         cfg = EvalConfig()
     n_modes, _, raw, zscores = _row_data(L, family, t_max, cfg)
-    row_scores: dict[int, float] = {}
-    zeta_scores: dict[int, float] = {}
-    flagged: list[int] = []
-    for i, n in enumerate(range(-n_modes, n_modes + 1)):
-        row_scores[n] = float(raw[i])
-        zeta_scores[n] = float(zscores[i])
-        s = _TWO_PI * n / L
-        if n != 0 and abs(s) <= t_max and zscores[i] < tol:
-            flagged.append(n)
+    modes = range(-n_modes, n_modes + 1)
+    row_scores = dict(zip(modes, raw.tolist()))
+    zeta_scores = dict(zip(modes, zscores.tolist()))
+    flagged = [
+        n for n, score in zeta_scores.items()
+        if n != 0 and abs(_TWO_PI * n / L) <= t_max and score < tol
+    ]
     if flagged and zeros is None:
         zeros = find_zeros(0.0, t_max, cfg)
     matched = []
@@ -209,15 +208,16 @@ def scan(
     step: float,
     family: list[TestFunction],
     t_max: float = 60.0,
-    tol: float = 1e-4,
     cfg: EvalConfig | None = None,
 ) -> ScanResult:
-    """Profile the minimum zeta-scale row score over an L-grid and refine dips.
+    """Profile the minimum zeta-scale row score over an L-grid, and find the cycles.
 
-    A dip is a strict local minimum of the profile below the refinement
-    trigger whose row frequency brackets a sign change of Z; that frequency
-    is refined to a root s* of Z, and L* = 2 pi n / s*. Local minima without
-    a sign change (near-misses of |zeta|) are left unrefined by design.
+    A dip is a sign change of Z(2 pi n / L) between neighbouring grid lengths,
+    both with 2 pi n / L <= t_max, in a row n; it is refined to a root s* of Z,
+    and L* = 2 pi n / s*. The cycles L = 2 pi n / t_k are all found where one
+    L step moves each row's frequency by less than the zero spacing there, save
+    brackets that would reach above t_max. Profile and refinement share one
+    policy, refinement_config(cfg, t_max).
     """
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
@@ -230,50 +230,44 @@ def scan(
     l_values = L_min + step * np.arange(count)
     if _TWO_PI / L_min > t_max:  # the frequency of row 1 falls as L grows
         raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L_min:g}")
+    cfg = refinement_config(cfg, t_max)
+    z = partial(riemann_siegel_Z, cfg=cfg)
 
     # |zeta| is the row score: one zeta_critical_many call per chunk of at most
     # _SCAN_CELLS (L, n >= 1) cells, at the pairs with 2 pi n / L <= t_max
     n = np.arange(1, math.floor(l_values[-1] * t_max / _TWO_PI) + 2)
     rows = max(1, _SCAN_CELLS // n.size)
-    best, argmin_n = np.empty(count), np.empty(count, dtype=np.int64)
+    best = np.empty(count)
+    s_last = z_last = np.empty((0, n.size))  # the previous chunk's last length
+    dips: list[Dip] = []
     zeta_points = zeta_blocks = 0
     for first in range(0, count, rows):
         chunk = slice(first, first + rows)
         s = _TWO_PI * n / l_values[chunk, None]
         pairs = s <= t_max
         t = s[pairs]
+        zeta = zeta_critical_many(t, cfg)[0]
         scores = np.full(s.shape, np.inf)
-        scores[pairs] = np.abs(zeta_critical_many(t, cfg))
+        scores[pairs] = np.abs(zeta)
         psi_max = np.max([np.abs(mellin_psi_many(f, t)) for f in family], axis=0)
         if (low := psi_max < _PSI_FLOOR).any():
             raise FamilyDegenerateError(
                 f"family Mellin factors all below {_PSI_FLOOR:g} at s = {t[low.argmax()]:.6g}"
             )
-        best[chunk], argmin_n[chunk] = scores.min(axis=1), n[scores.argmin(axis=1)]
+        best[chunk] = scores.min(axis=1)
         zeta_points += t.size
         zeta_blocks += -(-int(np.count_nonzero(t < cfg.rs_threshold)) // _GRID_BLOCK)
-    profile = list(zip(l_values.tolist(), best.tolist()))
-    argmin_n = argmin_n.tolist()
 
-    z = partial(riemann_siegel_Z, cfg=refinement_config(cfg, t_max))
-    dips: list[Dip] = []
-    for i in range(1, count - 1):
-        score = profile[i][1]
-        if score >= _REFINE_TRIGGER:
-            continue
-        if not (score < profile[i - 1][1] and score < profile[i + 1][1]):
-            continue
-        n_star = argmin_n[i]
-        # frequency falls as L grows, so the bracket's ends swap
-        lo, hi = _TWO_PI * n_star / profile[i + 1][0], _TWO_PI * n_star / profile[i - 1][0]
-        z_lo, z_hi = z(lo), z(hi)
-        if z_lo * z_hi > 0.0:
-            continue
-        s_star, z_star, _, _ = refine_root(z, lo, z_lo, hi, z_hi)
-        l_star = _TWO_PI * n_star / s_star
-        if dips and abs(dips[-1].L_star - l_star) < 1e-8 and dips[-1].n == n_star:
-            continue
-        dips.append(Dip(l_star, n_star, s_star, abs(z_star)))
+        z_rows = np.full(s.shape, np.nan)  # NaN off the pairs: it brackets nothing
+        z_rows[pairs] = rotate_to_Z(t, zeta)
+        s, z_rows = np.vstack([s_last, s]), np.vstack([z_last, z_rows])
+        for i, j in zip(*_sign_changes(z_rows)):
+            # frequency falls as L grows, so the bracket's ends swap
+            s_star, z_star, _, _ = refine_root(
+                z, float(s[i + 1, j]), float(z_rows[i + 1, j]), float(s[i, j]), float(z_rows[i, j])
+            )
+            dips.append(Dip(_TWO_PI * int(n[j]) / s_star, int(n[j]), s_star, abs(z_star)))
+        s_last, z_last = s[-1:], z_rows[-1:]
 
     dips.sort(key=lambda d: d.L_star)
     stats = {
@@ -283,7 +277,7 @@ def scan(
         "zeta_points": zeta_points,
         "zeta_blocks": zeta_blocks,
     }
-    return ScanResult(grid=profile, dips=dips, runtime_stats=stats)
+    return ScanResult(list(zip(l_values.tolist(), best.tolist())), dips, stats)
 
 
 def covering_stability(

@@ -73,9 +73,6 @@ class CircleFunction:
     def coeff(self, n: int) -> complex:
         return self.coeffs.get(n, 0.0 + 0.0j)
 
-    def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
 
 def circle_to_payload(xi: CircleFunction) -> dict:
     return {

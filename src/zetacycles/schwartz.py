@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -183,13 +184,10 @@ def apply_H(f: TestFunction) -> TestFunction:
 
 
 def apply_one_plus_H(f: TestFunction) -> TestFunction:
+    """f + H f, summed on the coefficients of f and of apply_H(f)."""
     f = _require_representation(f)
-    a = f.gauss_scale
-    out = [0.0] * (len(f.coeffs) + 1)
-    for j, c in enumerate(f.coeffs):
-        out[j] += (2.0 * j + 1.0) * c
-        out[j + 1] -= 2.0 * a * c
-    return _build(tuple(out), label=f"(1+H)({f.label})", scale=a)
+    out = [c + h for c, h in zip_longest(f.coeffs, apply_H(f).coeffs, fillvalue=0.0)]
+    return _build(tuple(out), label=f"(1+H)({f.label})", scale=f.gauss_scale)
 
 
 def make_test_function(k: int) -> TestFunction:

@@ -271,36 +271,30 @@ def theta_on_sections(lam: float, section: GlobalSection) -> GlobalSection:
 
 
 def _local_nodes(grid: np.ndarray, x0: float, count: int) -> np.ndarray:
-    order_idx = np.argsort(np.abs(grid - x0))
-    chosen: list[float] = []
-    for idx in order_idx:
-        x = float(grid[idx])
-        if any(abs(x - y) < 1e-9 * max(abs(x), 1e-300) for y in chosen):
+    """Ascending indices of the count grid points nearest x0, skipping any
+    point within 1e-9 relative of one already chosen."""
+    points, chosen = grid.tolist(), []
+    for idx in np.argsort(np.abs(grid - x0)).tolist():
+        x = points[idx]
+        if any(abs(x - points[i]) < 1e-9 * max(abs(x), 1e-300) for i in chosen):
             continue
-        chosen.append(x)
+        chosen.append(idx)
         if len(chosen) == count:
             break
     if len(chosen) < count:
         raise UnderResolvedGridError(
             f"only {len(chosen)} usable nodes near {x0}, need {count}"
         )
-    return np.array(sorted(chosen))
+    return np.sort(chosen)
 
 
 def _jet(grid: np.ndarray, values: np.ndarray, x0: float, order: int) -> list[complex]:
     """Derivatives 0..order of the sampled function at x0 via local stencils."""
     if not (grid[0] * (1.0 - 1e-12) <= x0 <= grid[-1] * (1.0 + 1e-12)):
         raise UnderResolvedGridError(f"jet point {x0} outside the grid range")
-    nodes = _local_nodes(grid, x0, order + _JET_EXTRA_NODES)
-    idx = np.searchsorted(grid, nodes)
-    idx = np.clip(idx, 0, grid.size - 1)
-    # nodes came from the grid, but searchsorted may land one slot off
-    for j, x in enumerate(nodes):
-        if abs(grid[idx[j]] - x) > 1e-12 * max(x, 1e-300):
-            idx[j] = int(np.argmin(np.abs(grid - x)))
-    w = finite_difference_weights(x0, nodes, order)
-    samples = values[idx]
-    return [complex(np.dot(w[k], samples)) for k in range(order + 1)]
+    idx = _local_nodes(grid, x0, order + _JET_EXTRA_NODES)
+    w = finite_difference_weights(x0, grid[idx], order)
+    return [complex(np.dot(w[k], values[idx])) for k in range(order + 1)]
 
 
 @dataclass(frozen=True)
@@ -398,9 +392,8 @@ def ideal_membership(
         raise ValueError("tol must be positive")
     witnesses: list[JetWitness] = []
     for L_k, m_k in g.zeros:
-        nodes = _local_nodes(f.grid, L_k, (m_k - 1) + _JET_EXTRA_NODES)
-        spread = float(np.median(np.abs(nodes - L_k)))
-        idx = np.array([int(np.argmin(np.abs(f.grid - x))) for x in nodes])
+        idx = _local_nodes(f.grid, L_k, (m_k - 1) + _JET_EXTRA_NODES)
+        spread = float(np.median(np.abs(f.grid[idx] - L_k)))
         local_scale = max(float(np.max(np.abs(f.values[idx]))), 1e-300)
         jets = _jet(f.grid, f.values, L_k, m_k - 1)
         for j, jet in enumerate(jets):

@@ -1,10 +1,13 @@
 """Special functions on the critical line: Gamma, zeta, Z, theta, and zeros.
 
 Everything downstream (Fourier coefficients, dip scans, ideal generators)
-funnels through `zeta_critical`, so this module carries the accuracy
-contracts: Euler-Maclaurin below `rs_threshold` (at one point, or over a
-block of points), a Riemann-Siegel main sum with remainder terms C0..C4
-above it, and honest error accounting for both.
+funnels through `zeta_critical` or its array form `zeta_critical_many`, so
+this module carries the accuracy contracts: Euler-Maclaurin below
+`rs_threshold` (at one point, or over a block of points), a Riemann-Siegel
+main sum with remainder terms C0..C4 above it, and honest error accounting
+for both. Z is zeta rotated by e^{i theta}, on an array by `rotate_to_Z`;
+`find_zeros` and `cycles.scan` both take a zero as a sign change of Z between
+neighbouring points of such an array, refined by `refine_root`.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 from scipy import special
@@ -31,10 +36,12 @@ __all__ = [
     "finite_difference_weights",
     "gamma_complex",
     "log_gamma",
+    "open_replacing",
     "read_zero_cache",
     "refine_root",
     "refinement_config",
     "riemann_siegel_Z",
+    "rotate_to_Z",
     "siegel_theta",
     "write_zero_cache",
     "zeta_critical",
@@ -61,19 +68,12 @@ class AccuracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation policy shared by every zeta-dependent operation.
+    """Evaluation policy shared by every zeta-dependent operation."""
 
-    euler_maclaurin_terms is a floor for the Euler-Maclaurin main-sum length;
-    the effective length grows with |t| to keep the Bernoulli tail convergent.
-    """
-
-    euler_maclaurin_terms: int = 40
     rs_threshold: float = 100.0
     target_abs_error: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.euler_maclaurin_terms < 1:
-            raise ValueError("euler_maclaurin_terms must be a positive integer")
         if not self.rs_threshold >= 20.0:
             raise ValueError("rs_threshold must be >= 20")
         if not self.target_abs_error > 0.0:
@@ -140,6 +140,7 @@ _EM_COEFFS = tuple(
     )
 )
 _EM_CORRECTION_TERMS = 14
+_EM_MIN_TERMS = 40  # main-sum length below t = 14.3, where 0.7 t + 30 is shorter
 _LOG_N = np.log(np.arange(1.0, 1025.0))
 
 
@@ -148,11 +149,11 @@ def _log_range(count: int) -> np.ndarray:
     return _LOG_N[:count] if count <= _LOG_N.size else np.log(np.arange(1.0, count + 1.0))
 
 
-def _zeta_euler_maclaurin(t, n_floor: int):
+def _zeta_euler_maclaurin(t):
     """zeta(1/2 + it) for t >= 0 by Euler-Maclaurin; returns (value, error bound).
 
     t is a float, or a 1-D array evaluated as one block with each point's
-    own length N = max(n_floor, ceil(0.7 t) + 30). Only the main sum
+    own length N = max(_EM_MIN_TERMS, ceil(0.7 t) + 30). Only the main sum
     differs: a block sums n^(-s) in order along the rows of a block x max(N)
     array and reads each row at its own N. The rest is +, * and abs, alike
     for floats and arrays, so both paths agree up to fused rounding.
@@ -162,14 +163,14 @@ def _zeta_euler_maclaurin(t, n_floor: int):
     """
     s = 0.5 + 1j * t
     if isinstance(t, np.ndarray):
-        big_n = np.maximum(n_floor, np.ceil(0.7 * t).astype(np.int64) + 30)
+        big_n = np.maximum(_EM_MIN_TERMS, np.ceil(0.7 * t).astype(np.int64) + 30)
         log_n = _log_range(int(big_n.max()))
         terms = np.exp(np.multiply.outer(-s, log_n))
         rows = np.arange(t.size)
         value = np.cumsum(terms, axis=1)[rows, big_n - 1]
         n_neg = terms[rows, big_n - 1]  # N^{-s}
     else:
-        big_n = max(n_floor, math.ceil(0.7 * t) + 30)
+        big_n = max(_EM_MIN_TERMS, math.ceil(0.7 * t) + 30)
         log_n = _log_range(big_n)
         terms = np.exp(-s * log_n)
         value = complex(np.cumsum(terms)[-1])
@@ -311,7 +312,7 @@ def _zeta_on_line(t: float, cfg: EvalConfig) -> tuple[complex, float]:
     if t > VALIDATED_T_MAX:
         raise _range_error(t)
     if t < cfg.rs_threshold:
-        value, bound = _zeta_euler_maclaurin(t, cfg.euler_maclaurin_terms)
+        value, bound = _zeta_euler_maclaurin(t)
     else:
         z_val, bound = _riemann_siegel_raw(t)
         value = z_val * cmath.exp(-1j * siegel_theta(t))
@@ -327,10 +328,8 @@ def zeta_critical(t: float, cfg: EvalConfig | None = None) -> complex:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if t < 0.0:
-        return zeta_critical(-t, cfg).conjugate()
-    value, _ = _zeta_on_line(t, cfg)
-    return value
+    value, _ = _zeta_on_line(abs(t), cfg)
+    return value.conjugate() if t < 0.0 else value
 
 
 def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
@@ -357,23 +356,11 @@ def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
 _GRID_BLOCK = 256  # points per Euler-Maclaurin block: under 1 MB of terms
 
 
-def _em_blocks(t: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(1/2 + it) and its certified bound at t >= 0 by Euler-Maclaurin, in
-    blocks of _GRID_BLOCK points; raises if a bound exceeds the target."""
-    values, bounds = np.empty(t.size, dtype=np.complex128), np.empty(t.size)
-    for lo in range(0, t.size, _GRID_BLOCK):
-        block = slice(lo, lo + _GRID_BLOCK)
-        values[block], bounds[block] = _zeta_euler_maclaurin(t[block], cfg.euler_maclaurin_terms)
-    if (over := bounds > cfg.target_abs_error).any():
-        raise _bound_error(bounds[over.argmax()], t[over.argmax()], cfg)
-    return values, bounds
-
-
-def zeta_critical_many(t, cfg: EvalConfig | None = None) -> np.ndarray:
-    """zeta(1/2 + it) at each point of a 1-D array of real t, under every guard of
-    zeta_critical: Euler-Maclaurin in blocks below cfg.rs_threshold, in order of
-    |t| so a block's sum lengths stay alike, zeta_critical's Riemann-Siegel
-    branch above, conjugation for t < 0."""
+def zeta_critical_many(t, cfg: EvalConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta(1/2 + it), certified bound) at each point of a 1-D array of real t,
+    under every guard of zeta_critical: Euler-Maclaurin in blocks of _GRID_BLOCK
+    points below cfg.rs_threshold, in order of |t| so a block's sum lengths stay
+    alike, zeta_critical's Riemann-Siegel branch above, conjugation for t < 0."""
     if cfg is None:
         cfg = EvalConfig()
     t = np.asarray(t, dtype=np.float64)
@@ -384,26 +371,34 @@ def zeta_critical_many(t, cfg: EvalConfig | None = None) -> np.ndarray:
     if order.size and a[order[-1]] > VALIDATED_T_MAX:
         raise _range_error(a[order[-1]])
     n_em = int(np.searchsorted(a[order], cfg.rs_threshold))
-    values = np.empty(t.size, dtype=np.complex128)
-    values[order[:n_em]] = _em_blocks(a[order[:n_em]], cfg)[0]
-    values[order[n_em:]] = [_zeta_on_line(x, cfg)[0] for x in a[order[n_em:]]]
-    return np.where(t < 0.0, values.conj(), values)
+    values, bounds = np.empty(t.size, dtype=np.complex128), np.empty(t.size)
+    for lo in range(0, n_em, _GRID_BLOCK):
+        block = order[lo : min(lo + _GRID_BLOCK, n_em)]
+        values[block], bounds[block] = _zeta_euler_maclaurin(a[block])
+    if (over := bounds[order[:n_em]] > cfg.target_abs_error).any():
+        i = order[over.argmax()]
+        raise _bound_error(bounds[i], a[i], cfg)
+    for i in order[n_em:]:
+        values[i], bounds[i] = _zeta_on_line(a[i], cfg)
+    return np.where(t < 0.0, values.conj(), values), bounds
 
 
-def _z_grid(t: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Z and its certified bound on an ascending grid t >= 0, under every guard
-    of riemann_siegel_Z: Euler-Maclaurin in blocks below cfg.rs_threshold, and
-    riemann_siegel_Z itself, on the Riemann-Siegel branch, from there on."""
-    if t[-1] > VALIDATED_T_MAX:
-        raise _range_error(t[-1])
-    n_em = int(np.searchsorted(t, cfg.rs_threshold))
-    zeta, em_bounds = _em_blocks(t[:n_em], cfg)
-    rotated = np.exp(1j * siegel_theta(t[:n_em])) * zeta
+def rotate_to_Z(t: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Z(t) = e^{i theta(t)} zeta(1/2 + it) at each point of an array of t >= 0,
+    given zeta there; raises if an imaginary residual of the rotation exceeds
+    1e-9, as riemann_siegel_Z does at one point."""
+    rotated = np.exp(1j * siegel_theta(t)) * zeta
     if (over := np.abs(rotated.imag) > 1e-9).any():
         raise _rotation_error(rotated.imag[over.argmax()], t[over.argmax()])
-    rs_values = [riemann_siegel_Z(x, cfg) for x in t[n_em:]]
-    rs_bounds = [_riemann_siegel_raw(x)[1] for x in t[n_em:]]
-    return np.concatenate([rotated.real, rs_values]), np.concatenate([em_bounds, rs_bounds])
+    return rotated.real
+
+
+def _sign_changes(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """np.nonzero of the places where values[i] and values[i + 1], along the
+    first axis, bracket a zero. A point exactly on a zero is left to the
+    bracket that ends there; a NaN brackets nothing."""
+    left, right = values[:-1], values[1:]
+    return np.nonzero((left != 0.0) & (left * right <= 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +483,11 @@ def find_zeros(t_min: float, t_max: float, cfg: EvalConfig | None = None) -> lis
 
     n_steps = int(math.ceil((t_max - t_min) / _ZERO_GRID_STEP))
     grid = t_min + (t_max - t_min) * np.arange(n_steps + 1) / n_steps
-    values, bounds = _z_grid(grid, refine_cfg)
+    zeta, bounds = zeta_critical_many(grid, refine_cfg)
+    values = rotate_to_Z(grid, zeta)
     z = partial(riemann_siegel_Z, cfg=refine_cfg)
     zeros: list[ZetaZero] = []
-    # a grid point exactly on a zero is left to the bracket that ends there
-    for i in np.flatnonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] <= 0.0)):
+    for i in _sign_changes(values)[0]:
         root, _, width, slope = refine_root(z, grid[i], values[i], grid[i + 1], values[i + 1])
         zeros.append(ZetaZero(root, 1, float(width + max(bounds[i], bounds[i + 1]) / slope)))
     return zeros
@@ -564,14 +559,28 @@ def zeta_jet(t0: float, order: int, cfg: EvalConfig | None = None) -> list[compl
 
 
 # ---------------------------------------------------------------------------
-# Zero-cache persistence (CSV: ordinate,multiplicity,abs_error).
+# Zero-cache persistence (CSV: ordinate,multiplicity,abs_error), replaced whole.
+
+
+@contextmanager
+def open_replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file beside path that is moved over path when the block exits,
+    and removed if the block raises, so path never holds a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_zero_cache(path: str | Path, zeros: list[ZetaZero]) -> None:
     ordinates = [z.ordinate for z in zeros]
     if ordinates != sorted(ordinates) or len(set(ordinates)) != len(ordinates):
         raise ValueError("zero ordinates must be strictly increasing")
-    with open(path, "w", newline="") as fh:
+    with open_replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["ordinate", "multiplicity", "abs_error"])
         for z in zeros:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from _oracle_frozen import ZERO_ORDINATES
+from test_cycles import match_one_to_one, predicted_cycles
 from test_laplacian import probe_points
 from zetacycles.cycles import covering_stability, detect, scan
 from zetacycles.laplacian import (
@@ -57,7 +58,7 @@ def test_criterion_1_fourier_identity(family):
 
 def test_criterion_2_zero_recovery(family):
     started = time.perf_counter()
-    result = scan(0.40, 0.46, 1e-3, family, t_max=60.0, tol=1e-4)
+    result = scan(0.40, 0.46, 1e-3, family, t_max=60.0)
     elapsed = time.perf_counter() - started
     assert result.dips
     best = min(abs(d.s - T1) for d in result.dips)
@@ -70,7 +71,7 @@ def test_criterion_2_zero_recovery(family):
 
 
 def test_criterion_3_dip_sweep(family, zeros60):
-    result = scan(0.3, 1.5, 1e-3, family, t_max=60.0, tol=1e-4)
+    result = scan(0.3, 1.5, 1e-3, family, t_max=60.0)
     ordinates = [z.ordinate for z in zeros60]
     worst = 0.0
     covered = set()
@@ -86,6 +87,8 @@ def test_criterion_3_dip_sweep(family, zeros60):
     )
     assert worst <= 5e-3
     assert covered == set(range(len(ordinates)))
+    # and the dips are the cycles 2 pi n / t_k of the window, one to one
+    match_one_to_one(result.dips, predicted_cycles(0.3, 1.5, 60.0), 1e-12)
 
 
 def test_criterion_4_covering_stability(family, zeros60):

@@ -170,6 +170,14 @@ class TestCacheGate:
         assert run("--t-max", "20", "scan") == cli.EXIT_USAGE
         assert "run `zetacycles zeros` first" in capsys.readouterr().err
 
+    def test_cache_without_sidecar_rejected(self, tmp_path, capsys):
+        # a `zeros` run cut off between the cache and its sidecar: coverage unknown
+        seed_cache(20.0)
+        (tmp_path / "zeros.csv.meta.json").unlink()
+        assert run("--t-max", "20", "detect", repr(L_STAR)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "zeros.csv.meta.json" in err and err.count("\n") == 1
+
     def test_stale_cache_rejected(self, capsys):
         seed_cache(20.0)
         assert run("--t-max", "40", "laplacian") == cli.EXIT_USAGE

@@ -25,18 +25,29 @@ from zetacycles.specfun import VALIDATED_T_MAX, zeta_critical
 T1 = ZERO_ORDINATES[0]
 L_STAR = 2.0 * math.pi / T1
 
-# the criterion-3 sweep's dips in order of L*, as (mode n, k of the zero t_k)
-CRITERION_3_DIPS = [
-    (2, 7), (3, 13), (3, 12), (3, 11), (3, 10), (2, 5), (3, 9), (2, 4), (4, 13), (3, 8),
-    (1, 1), (3, 7), (4, 11), (2, 3), (4, 10), (4, 9), (5, 13), (5, 12), (3, 5), (4, 8),
-    (5, 11), (2, 2), (4, 7), (3, 4), (5, 10), (6, 13), (5, 9), (6, 12), (6, 11), (5, 8),
-    (7, 13), (3, 3), (6, 10), (4, 5), (5, 7), (7, 12), (6, 9), (4, 4), (7, 11), (5, 6),
-    (8, 13), (6, 8), (7, 10), (2, 1), (3, 2), (7, 9), (6, 7), (8, 11), (5, 5), (6, 6),
-    (4, 3), (8, 10), (7, 8), (5, 4), (8, 9), (10, 13), (9, 11), (7, 7), (10, 12), (9, 10),
-    (6, 5), (8, 8), (11, 13), (7, 6), (9, 9), (10, 11), (4, 2), (11, 12), (8, 7), (6, 4),
-    (5, 3), (10, 10), (12, 13), (9, 8), (10, 9), (3, 1), (8, 6), (13, 13), (9, 7), (11, 10),
-    (12, 11), (11, 9), (13, 12), (10, 8), (14, 13), (5, 2),
-]
+
+def predicted_cycles(L_min: float, L_max: float, t_max: float) -> dict[tuple[int, int], float]:
+    """Every cycle L = 2 pi n / t_k in [L_min, L_max] with t_k <= t_max, keyed
+    by (mode n, index k of the zero t_k), from the frozen ordinates."""
+    return {
+        (n, k): 2.0 * math.pi * n / t
+        for k, t in enumerate(ZERO_ORDINATES, start=1)
+        if t <= t_max
+        for n in range(1, math.floor(L_max * t / (2.0 * math.pi)) + 1)
+        if L_min <= 2.0 * math.pi * n / t
+    }
+
+
+def match_one_to_one(dips, predicted: dict[tuple[int, int], float], tol: float) -> None:
+    """Each dip lands within tol of the predicted length of its own mode, and
+    dips and predicted cycles pair off one to one."""
+    matched = []
+    for dip in dips:
+        key = min((key for key in predicted if key[0] == dip.n),
+                  key=lambda key: abs(predicted[key] - dip.L_star))
+        assert abs(dip.L_star - predicted[key]) <= tol, (dip, key)
+        matched.append(key)
+    assert sorted(matched) == sorted(predicted)
 
 
 @pytest.fixture(scope="module")
@@ -150,16 +161,13 @@ class TestScan:
         assert chunked.runtime_stats["zeta_points"] == whole.runtime_stats["zeta_points"]
         assert chunked.runtime_stats["zeta_blocks"] > whole.runtime_stats["zeta_blocks"]
 
-    def test_criterion_3_dips_unchanged(self, family):
-        """Every dip of the criterion-3 sweep, as (mode n, index k of the zero
-        t_k it lands on), with L* = 2 pi n / t_k to 1e-12."""
-        result = scan(0.3, 1.5, 1e-3, family, t_max=60.0, tol=1e-4)
-        got = []
-        for dip in result.dips:
-            k = min(range(13), key=lambda k: abs(ZERO_ORDINATES[k] - dip.s))
-            assert abs(dip.L_star - 2.0 * math.pi * dip.n / ZERO_ORDINATES[k]) <= 1e-12
-            got.append((dip.n, k + 1))
-        assert got == CRITERION_3_DIPS
+    def test_criterion_3_dips_are_the_predicted_cycles(self, family):
+        """The dips of the criterion-3 sweep are the 97 cycles 2 pi n / t_k of
+        the window, one to one, with L* = 2 pi n / t_k to 1e-12."""
+        result = scan(0.3, 1.5, 1e-3, family, t_max=60.0)
+        predicted = predicted_cycles(0.3, 1.5, 60.0)
+        assert len(predicted) == len(result.dips) == 97
+        match_one_to_one(result.dips, predicted, 1e-12)
         assert result.runtime_stats["zeta_points"] == 9726
         assert result.runtime_stats["zeta_blocks"] == 38
 

@@ -45,6 +45,14 @@ class TestFamilyConstruction:
         pi = math.pi
         assert make_test_function(0).coeffs == (0.0, -6.0 * pi, 4.0 * pi * pi)
         assert make_test_function(1).coeffs == (0.0, 6.0, -14.0 * pi, 4.0 * pi * pi)
+        # f_k = H (1 + H) g_k, by the rules c_j -> (2j+1) c_j - 2a c_{j-1} and
+        # then c_j -> 2j c_j - 2a c_{j-1}, bit for bit
+        for k in range(9):
+            c = (0.0,) * k + (1.0, 0.0)
+            c = [(2 * j + 1) * c[j] - 2 * pi * (c[j - 1] if j else 0.0) for j in range(k + 2)]
+            c.append(0.0)
+            rule = [2 * j * c[j] - 2 * pi * (c[j - 1] if j else 0.0) for j in range(k + 3)]
+            assert make_test_function(k).coeffs == tuple(rule)
 
     def test_canonical_vector(self):
         f = canonical_vector()

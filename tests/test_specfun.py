@@ -1,6 +1,7 @@
 """Special-function layer: gamma, theta, critical-line zeta, zeros, jets."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from zetacycles.specfun import (
     refine_root,
     refinement_config,
     riemann_siegel_Z,
+    rotate_to_Z,
     siegel_theta,
     write_zero_cache,
     zeta_critical,
@@ -134,11 +136,11 @@ class TestZetaCritical:
 class TestEvalConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EvalConfig(euler_maclaurin_terms=0)
-        with pytest.raises(ValueError):
             EvalConfig(rs_threshold=5.0)
         with pytest.raises(ValueError):
             EvalConfig(target_abs_error=0.0)
+        with pytest.raises(TypeError):
+            EvalConfig(euler_maclaurin_terms=40)  # a module constant: it had no caller
 
     def test_zero_record_validation(self):
         with pytest.raises(ValueError):
@@ -174,6 +176,17 @@ class TestFindZeros:
         )
         assert [z.multiplicity for z in back] == [z.multiplicity for z in zeros60]
 
+    def test_interrupted_write_keeps_previous_cache(self, tmp_path, zeros60):
+        path = tmp_path / "zeros.csv"
+        write_zero_cache(path, zeros60)
+        before = path.read_bytes()
+        # the second row fails to format after the header and first row are written
+        broken = [zeros60[0], SimpleNamespace(ordinate=99.0, multiplicity=1, abs_error="x")]
+        with pytest.raises(ValueError):
+            write_zero_cache(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["zeros.csv"]
+
     def test_cache_rejects_unsorted(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -186,7 +199,7 @@ class TestFindZeros:
 
 
 class TestBlockEvaluation:
-    """The block path of the Euler-Maclaurin routine, and the Z grid on it."""
+    """The block path of the Euler-Maclaurin routine, and Z rotated from it."""
 
     @staticmethod
     def em_points(cfg):
@@ -199,23 +212,28 @@ class TestBlockEvaluation:
         t = self.em_points(cfg)
         for lo in range(0, t.size, 256):
             block = t[lo : lo + 256]
-            values, bounds = specfun._zeta_euler_maclaurin(block, cfg.euler_maclaurin_terms)
+            values, bounds = specfun._zeta_euler_maclaurin(block)
             for x, value, bound in zip(block, values, bounds):
-                v1, b1 = specfun._zeta_euler_maclaurin(float(x), cfg.euler_maclaurin_terms)
+                v1, b1 = specfun._zeta_euler_maclaurin(float(x))
                 assert abs(value - v1) <= 1e-15 * abs(v1), x
                 assert abs(bound - b1) <= 1e-15 * b1, x
 
-    def test_z_grid_matches_points(self, cfg):
+    @staticmethod
+    def z_many(t, cfg):
+        zeta, bounds = zeta_critical_many(t, cfg)
+        return rotate_to_Z(t, zeta), bounds
+
+    def test_z_rotation_matches_points(self, cfg):
         rcfg = refinement_config(cfg, 250.0)
         t = self.em_points(cfg)
-        values, _ = specfun._z_grid(t, rcfg)
+        values, _ = self.z_many(t, rcfg)
         for x, value in zip(t, values):
             z1 = riemann_siegel_Z(float(x), rcfg)
             assert abs(value - z1) <= 1e-15 * abs(z1), x
 
     def test_points_at_threshold_take_riemann_siegel(self, cfg):
         t = np.array([90.0, 99.5, cfg.rs_threshold, 130.0])
-        values, bounds = specfun._z_grid(t, cfg)
+        values, bounds = self.z_many(t, cfg)
         for x, value in zip(t, values):
             assert value == pytest.approx(riemann_siegel_Z(float(x), cfg), rel=1e-15)
         for x, bound in zip(t[2:], bounds[2:]):
@@ -223,21 +241,21 @@ class TestBlockEvaluation:
 
     def test_guards_raise_on_block(self, cfg, monkeypatch):
         with pytest.raises(AccuracyError, match="validated range"):
-            specfun._z_grid(np.array([250.0, VALIDATED_T_MAX + 1.0]), cfg)
+            self.z_many(np.array([250.0, VALIDATED_T_MAX + 1.0]), cfg)
         tight = EvalConfig(target_abs_error=1e-14)
         with pytest.raises(AccuracyError, match="certified error"):
-            specfun._z_grid(np.linspace(1.0, 50.0, 10), tight)
+            self.z_many(np.linspace(1.0, 50.0, 10), tight)
         with pytest.raises(AccuracyError, match="certified error"):
             riemann_siegel_Z(1.0, tight)
         # the Riemann-Siegel points keep their own bound check
         rs_tight = EvalConfig(target_abs_error=1e-10)
-        specfun._z_grid(np.array([50.0, 99.0]), rs_tight)
+        self.z_many(np.array([50.0, 99.0]), rs_tight)
         with pytest.raises(AccuracyError, match="certified error"):
-            specfun._z_grid(np.array([50.0, 150.0]), rs_tight)
+            self.z_many(np.array([50.0, 150.0]), rs_tight)
         exact_theta = specfun.siegel_theta
         monkeypatch.setattr(specfun, "siegel_theta", lambda t: exact_theta(t) + 1e-3)
         with pytest.raises(AccuracyError, match="rotation residual"):
-            specfun._z_grid(np.linspace(10.0, 20.0, 5), cfg)
+            self.z_many(np.linspace(10.0, 20.0, 5), cfg)
         with pytest.raises(AccuracyError, match="rotation residual"):
             riemann_siegel_Z(10.0, cfg)
 
@@ -250,13 +268,17 @@ class TestZetaCriticalMany:
         t = np.concatenate([rng.uniform(-259.0, 259.0, 400), [0.0, 99.9, -100.0, 100.0]])
         assert (np.abs(t) < cfg.rs_threshold).sum() > 100
         assert (np.abs(t) >= cfg.rs_threshold).sum() > 100
-        many = zeta_critical_many(t, cfg)
-        for x, value in zip(t, many):
+        many, bounds = zeta_critical_many(t, cfg)
+        for x, value, bound in zip(t, many, bounds):
             one = zeta_critical(float(x), cfg)
             assert abs(value - one) <= 1e-15 * abs(one), x
+            assert 0.0 < bound <= cfg.target_abs_error
+            if abs(x) >= cfg.rs_threshold:
+                assert bound == specfun._riemann_siegel_raw(abs(float(x)))[1]
 
     def test_empty(self, cfg):
-        assert zeta_critical_many(np.array([]), cfg).shape == (0,)
+        values, bounds = zeta_critical_many(np.array([]), cfg)
+        assert values.shape == bounds.shape == (0,)
 
     def test_guards_raise_on_block(self, cfg):
         with pytest.raises(ValueError, match="finite"):
@@ -294,13 +316,21 @@ class TestRefineRoot:
     def test_z_brackets_of_the_zero_grid(self, cfg):
         rcfg = refinement_config(cfg, 250.0)
         grid = np.linspace(0.0, 250.0, 6251)
-        values, _ = specfun._z_grid(grid, rcfg)
+        values = rotate_to_Z(grid, zeta_critical_many(grid, rcfg)[0])
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
         assert brackets.size == 108
         for i in brackets[::3]:
             self.agree_with_brentq(
                 lambda x: riemann_siegel_Z(x, rcfg), float(grid[i]), float(grid[i + 1])
             )
+
+    def test_sign_changes(self):
+        """A point on a zero goes to the bracket that ends there; NaN brackets
+        nothing; on a 2-D array the rule runs down each column."""
+        values = np.array([1.0, 0.0, -1.0, -2.0, np.nan, 3.0, 4.0, -0.5])
+        assert specfun._sign_changes(values)[0].tolist() == [0, 6]
+        rows, cols = specfun._sign_changes(np.stack([values, -values], axis=1))
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (0, 1), (6, 0), (6, 1)]
 
     @pytest.mark.parametrize("c", np.linspace(-0.9, 0.9, 7))
     def test_analytic_functions(self, c):
@@ -321,7 +351,7 @@ class TestRefineRoot:
 def test_em_bound_covers_error(t):
     """The Euler-Maclaurin bound holds against a 30-digit evaluation."""
     mpmath = pytest.importorskip("mpmath")
-    value, bound = specfun._zeta_euler_maclaurin(t, EvalConfig().euler_maclaurin_terms)
+    value, bound = specfun._zeta_euler_maclaurin(t)
     with mpmath.workdps(30):
         exact = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
     assert abs(value - exact) <= bound
