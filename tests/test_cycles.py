@@ -161,7 +161,7 @@ class TestScan:
         assert chunked.runtime_stats["zeta_points"] == whole.runtime_stats["zeta_points"]
         assert chunked.runtime_stats["zeta_blocks"] > whole.runtime_stats["zeta_blocks"]
 
-    def test_criterion_3_dips_are_the_predicted_cycles(self, family):
+    def test_criterion_3_dips_unchanged(self, family):
         """The dips of the criterion-3 sweep are the 97 cycles 2 pi n / t_k of
         the window, one to one, with L* = 2 pi n / t_k to 1e-12."""
         result = scan(0.3, 1.5, 1e-3, family, t_max=60.0)

@@ -223,7 +223,7 @@ class TestBlockEvaluation:
         zeta, bounds = zeta_critical_many(t, cfg)
         return rotate_to_Z(t, zeta), bounds
 
-    def test_z_rotation_matches_points(self, cfg):
+    def test_z_grid_matches_points(self, cfg):
         rcfg = refinement_config(cfg, 250.0)
         t = self.em_points(cfg)
         values, _ = self.z_many(t, rcfg)
