@@ -215,9 +215,11 @@ def scan(
     A dip is a sign change of Z(2 pi n / L) between neighbouring grid lengths,
     both with 2 pi n / L <= t_max, in a row n; it is refined to a root s* of Z,
     and L* = 2 pi n / s*. The cycles L = 2 pi n / t_k are all found where one
-    L step moves each row's frequency by less than the zero spacing there, save
-    brackets that would reach above t_max. Profile and refinement share one
-    policy, refinement_config(cfg, t_max).
+    L step moves each row's frequency by less than the zero spacing there: a
+    bracket may end at a row's last cell above t_max, where Z is evaluated (up
+    to VALIDATED_T_MAX) for its sign only, outside the profile and zeta_points;
+    a root above t_max is dropped. Profile and refinement share one policy,
+    refinement_config(cfg, t_max).
     """
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
@@ -238,13 +240,17 @@ def scan(
     n = np.arange(1, math.floor(l_values[-1] * t_max / _TWO_PI) + 2)
     rows = max(1, _SCAN_CELLS // n.size)
     best = np.empty(count)
+    l_next = np.append(l_values[1:], l_values[-1])
     s_last = z_last = np.empty((0, n.size))  # the previous chunk's last length
     dips: list[Dip] = []
-    zeta_points = zeta_blocks = 0
+    zeta_points = zeta_blocks = edge_points = 0
     for first in range(0, count, rows):
         chunk = slice(first, first + rows)
         s = _TWO_PI * n / l_values[chunk, None]
         pairs = s <= t_max
+        # each row's last cell above t_max, for the sign of Z there (none at L_max)
+        s_next = _TWO_PI * n / l_next[chunk, None]
+        edge = ~pairs & (s_next <= t_max) & (s <= VALIDATED_T_MAX)
         t = s[pairs]
         zeta = zeta_critical_many(t, cfg)[0]
         scores = np.full(s.shape, np.inf)
@@ -258,15 +264,18 @@ def scan(
         zeta_points += t.size
         zeta_blocks += -(-int(np.count_nonzero(t < cfg.rs_threshold)) // _GRID_BLOCK)
 
-        z_rows = np.full(s.shape, np.nan)  # NaN off the pairs: it brackets nothing
+        z_rows = np.full(s.shape, np.nan)  # NaN off the pairs and edges: it brackets nothing
         z_rows[pairs] = rotate_to_Z(t, zeta)
+        z_rows[edge] = rotate_to_Z(s[edge], zeta_critical_many(s[edge], cfg)[0])
+        edge_points += int(np.count_nonzero(edge))
         s, z_rows = np.vstack([s_last, s]), np.vstack([z_last, z_rows])
         for i, j in zip(*_sign_changes(z_rows)):
             # frequency falls as L grows, so the bracket's ends swap
             s_star, z_star, _, _ = refine_root(
                 z, float(s[i + 1, j]), float(z_rows[i + 1, j]), float(s[i, j]), float(z_rows[i, j])
             )
-            dips.append(Dip(_TWO_PI * int(n[j]) / s_star, int(n[j]), s_star, abs(z_star)))
+            if s_star <= t_max:
+                dips.append(Dip(_TWO_PI * int(n[j]) / s_star, int(n[j]), s_star, abs(z_star)))
         s_last, z_last = s[-1:], z_rows[-1:]
 
     dips.sort(key=lambda d: d.L_star)
@@ -276,6 +285,7 @@ def scan(
         "seconds": time.perf_counter() - started,
         "zeta_points": zeta_points,
         "zeta_blocks": zeta_blocks,
+        "edge_points": edge_points,
     }
     return ScanResult(list(zip(l_values.tolist(), best.tolist())), dips, stats)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schwartz import RepresentationError, TestFunction, mellin_psi
-from .specfun import EvalConfig, zeta_critical
+from .schwartz import RepresentationError, TestFunction, _decay_certificate, mellin_psi_many
+from .specfun import EvalConfig, zeta_critical_many
 
 __all__ = [
     "CircleFunction",
@@ -156,20 +156,16 @@ def trace_identity_check(f: TestFunction, u: float) -> float:
 def fourier_closed(
     f: TestFunction, L: float, N: int, cfg: EvalConfig | None = None
 ) -> CircleFunction:
-    if cfg is None:
-        cfg = EvalConfig()
+    """c_n for |n| <= N on the array evaluators: zeta once for n >= 0, mirrored
+    to n < 0 by conjugation, and psi_f on the whole row."""
     if L <= 0.0:
         raise ValueError("circle length L must be positive")
     if N < 1:
         raise ValueError("mode count N must be at least 1")
-    scale = L ** -0.5
-    coeffs: dict[int, complex] = {}
-    for n in range(-N, N + 1):
-        s = _TWO_PI * n / L
-        zeta_factor = zeta_critical(-s, cfg)
-        psi_factor = mellin_psi(f, s).psi
-        coeffs[n] = scale * zeta_factor * psi_factor
-    return CircleFunction(L, coeffs, N)
+    s = _TWO_PI * np.arange(-N, N + 1) / L
+    zeta = zeta_critical_many(-s[N:], cfg)[0]  # zeta(1/2 - i s_n), n = 0..N
+    row = L ** -0.5 * np.concatenate([zeta[:0:-1].conj(), zeta]) * mellin_psi_many(f, s)
+    return CircleFunction(L, dict(zip(range(-N, N + 1), row.tolist())), N)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +173,10 @@ def fourier_closed(
 # transform on a log-uniform grid.
 
 
-def _fourier_coeffs_of(f: TestFunction) -> np.ndarray:
+def _fourier_coeffs_of(f: TestFunction) -> tuple[np.ndarray, float]:
     """Polynomial coefficients (all parities) of the Fourier transform of f
-    against exp(-pi y^2); valid only for gauss_scale = pi (self-dual kernel).
+    against exp(-pi y^2), valid only for gauss_scale = pi (self-dual kernel),
+    and the sum of the |terms| that make up the constant one, fh(0).
 
     Multiplication by x^2 conjugates to -(1/4 pi^2) d^2/dy^2, applied per
     power of x^2 to the transformed Gaussian.
@@ -195,22 +192,22 @@ def _fourier_coeffs_of(f: TestFunction) -> np.ndarray:
             out[i + 1] -= _TWO_PI * d
         return out
 
-    acc = [0.0]
+    acc = [0.0] * (2 * len(f.coeffs) - 1)
     basis = [1.0]  # transform of the bare Gaussian
-    factor = 1.0
+    factor, origin_scale = 1.0, 0.0
     for j, c in enumerate(f.coeffs):
         if j > 0:
             basis = differentiate(differentiate(basis))
             factor /= -4.0 * math.pi * math.pi
         if c != 0.0:
-            if len(acc) < len(basis):
-                acc.extend([0.0] * (len(basis) - len(acc)))
             for i, d in enumerate(basis):
                 acc[i] += c * factor * d
-    return np.array(acc, dtype=np.float64)
+            origin_scale += abs(c * factor * basis[0])
+    return np.array(acc, dtype=np.float64), origin_scale
 
 
 def _poly_gauss(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    y = np.minimum(y, 40.0)  # exp(-pi y^2) is 0.0 there; the clip keeps the poly finite
     poly = np.zeros_like(y)
     for c in coeffs[::-1]:
         poly = poly * y + c
@@ -220,31 +217,33 @@ def _poly_gauss(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
 _DIRECT_TERMS = 16
 _POISSON_TERMS = 3
 _SPLIT_POINT = 0.5
+_DROP_TOL = 1e-17  # translates on which |E(f)| stays below this are left out
+_MEAN_ROUNDING = 64.0 * np.finfo(np.float64).eps  # fh(0) this small, relative to its terms, is 0
 
 
 def _eval_E_array(f: TestFunction, v: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """E(f) on an array of positive points, split by magnitude.
+    """E(f) on an array of positive points, split by magnitude, for fh(0) = 0.
 
     Above the split the defining sum needs few terms; below it the Poisson
     resummation E(v) = v^(-1/2)(fh(0)/2 + sum_m fh(m/v)) - v^(1/2) f(0)/2
     converges immediately.
     """
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     hi = v >= _SPLIT_POINT
-    if np.any(hi):
-        vh = v[hi]
-        acc = np.zeros_like(vh)
-        for n in range(1, _DIRECT_TERMS + 1):
-            acc += f(n * vh)
-        out[hi] = np.sqrt(vh) * acc
-    lo = ~hi
-    if np.any(lo):
-        vl = v[lo]
-        acc = np.full_like(vl, 0.5 * float(fhat[0]))  # fh(0), poly at the origin
-        for m in range(1, _POISSON_TERMS + 1):
-            acc += _poly_gauss(fhat, m / vl)
-        out[lo] = acc / np.sqrt(vl) - 0.5 * float(f(0.0)) * np.sqrt(vl)
+    vh, vl = v[hi], v[~hi]
+    out[hi] = np.sqrt(vh) * sum(f(n * vh) for n in range(1, _DIRECT_TERMS + 1))
+    poisson = sum(_poly_gauss(fhat, m / vl) for m in range(1, _POISSON_TERMS + 1))
+    out[~hi] = poisson / np.sqrt(vl) - 0.5 * float(f(0.0)) * np.sqrt(vl)
     return out
+
+
+def _gauss_edge(c: float, b: float) -> float:
+    """log x above which sqrt(x) c exp(-b x^2) < _DROP_TOL: the fixed point of
+    y = log((log(c / _DROP_TOL) + y/2) / b) / 2, reached to rounding from 0."""
+    r, y = max(math.log(c / _DROP_TOL), 1.0), 0.0
+    for _ in range(6):
+        y = 0.5 * math.log((r + 0.5 * y) / b)
+    return y
 
 
 def fourier_direct(
@@ -254,7 +253,13 @@ def fourier_direct(
 
     The integrand is sampled on a log-uniform grid over one period (trapezoid
     rule is spectrally accurate there) after summing the lattice translates
-    mu^k for |k| <= ceil(30/L).
+    mu^k over the range of log v outside which each stays below 1e-17: above
+    it, sqrt(v) C exp(-b v^2) bounds E(f) by f's decay certificate (C, b);
+    below it, the Poisson form leaves v^(-1/2) sum_m fh(m/v), bounded alike by
+    fh's certificate with v -> 1/v, and -v^(1/2) f(0)/2, whose translates below
+    v_lo sum to at most |f(0)|/2 sqrt(v_lo) / (1 - e^(-L/2)). The sum converges
+    only for a mean-zero f: fh(0) at the rounding level of its own terms is
+    set to 0, and any other value raises a ValueError.
     """
     if L <= 0.0:
         raise ValueError("circle length L must be positive")
@@ -267,10 +272,17 @@ def fourier_direct(
         )
     if f.is_zero:
         return CircleFunction(L, {n: 0.0 + 0.0j for n in range(-N, N + 1)}, N)
-    fhat = _fourier_coeffs_of(f)
-    k_span = int(math.ceil(30.0 / L))
+    fhat, origin_scale = _fourier_coeffs_of(f)
+    if abs(fhat[0]) > _MEAN_ROUNDING * origin_scale:
+        raise ValueError(f"{f.label or 'function'} is not mean-zero (integral "
+                         f"{fhat[0]:.3g}); its periodization diverges")
+    fhat[0] = 0.0
+    hi = _gauss_edge(*f.decay)
+    lo = -_gauss_edge(*_decay_certificate(tuple(fhat[::2]), math.pi))  # fh is even
+    if (origin := abs(float(f(0.0)))) > 0.0:
+        lo = min(lo, 2.0 * math.log(2.0 * _DROP_TOL * -math.expm1(-0.5 * L) / origin))
     x = (np.arange(grid, dtype=np.float64) * L) / grid
-    shifts = np.arange(-k_span, k_span + 1, dtype=np.float64) * L
+    shifts = np.arange(math.floor(lo / L), math.ceil(hi / L), dtype=np.float64) * L
     v = np.exp(shifts[:, None] + x[None, :])
     xi = np.sum(_eval_E_array(f, v, fhat), axis=0)
     spectrum = np.fft.fft(xi) * (math.sqrt(L) / grid)

@@ -264,6 +264,13 @@ class TestVerify:
         for check in payload["checks"]:
             assert check["pass"] is True
             assert check["worst"] <= check["threshold"]
+        fourier = payload["checks"][0]
+        assert fourier["worst"] <= 1e-12
+        assert fourier["worst_at"]["f"] in {"f0", "f1", "f2"}
+        assert fourier["worst_at"]["L"] in (0.8, 1.0, math.log(4.0))
+        first = (tmp_path / "reports" / "verify.json").read_bytes()
+        assert run("verify") == cli.EXIT_OK
+        assert (tmp_path / "reports" / "verify.json").read_bytes() == first
 
 
 class TestLaplacian:

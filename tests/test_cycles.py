@@ -20,18 +20,20 @@ from zetacycles.cycles import (
     svd_dip_score,
 )
 from zetacycles.schwartz import linear_combination, make_test_function, mellin_psi
-from zetacycles.specfun import VALIDATED_T_MAX, zeta_critical
+from zetacycles.specfun import VALIDATED_T_MAX, find_zeros, zeta_critical
 
 T1 = ZERO_ORDINATES[0]
 L_STAR = 2.0 * math.pi / T1
 
 
-def predicted_cycles(L_min: float, L_max: float, t_max: float) -> dict[tuple[int, int], float]:
+def predicted_cycles(
+    L_min: float, L_max: float, t_max: float, ordinates=ZERO_ORDINATES
+) -> dict[tuple[int, int], float]:
     """Every cycle L = 2 pi n / t_k in [L_min, L_max] with t_k <= t_max, keyed
     by (mode n, index k of the zero t_k), from the frozen ordinates."""
     return {
         (n, k): 2.0 * math.pi * n / t
-        for k, t in enumerate(ZERO_ORDINATES, start=1)
+        for k, t in enumerate(ordinates, start=1)
         if t <= t_max
         for n in range(1, math.floor(L_max * t / (2.0 * math.pi)) + 1)
         if L_min <= 2.0 * math.pi * n / t
@@ -159,6 +161,7 @@ class TestScan:
         assert chunked.grid == whole.grid
         assert chunked.dips == whole.dips
         assert chunked.runtime_stats["zeta_points"] == whole.runtime_stats["zeta_points"]
+        assert chunked.runtime_stats["edge_points"] == whole.runtime_stats["edge_points"]
         assert chunked.runtime_stats["zeta_blocks"] > whole.runtime_stats["zeta_blocks"]
 
     def test_criterion_3_dips_unchanged(self, family):
@@ -170,6 +173,19 @@ class TestScan:
         match_one_to_one(result.dips, predicted, 1e-12)
         assert result.runtime_stats["zeta_points"] == 9726
         assert result.runtime_stats["zeta_blocks"] == 38
+
+    def test_brackets_reaching_above_t_max(self, family):
+        """The rows n = 16 and 17 cross t_max = 250 in this window, and their
+        brackets of t_108 = 249.57 end one cell above it: Z there, evaluated for
+        its sign, completes them. A root above t_max is not reported."""
+        ordinates = [z.ordinate for z in find_zeros(0.0, 250.0)]
+        result = scan(0.40, 0.43, 1e-3, family, t_max=250.0)
+        predicted = predicted_cycles(0.40, 0.43, 250.0, ordinates)
+        assert len(predicted) == len(result.dips) == 72
+        match_one_to_one(result.dips, predicted, 1e-12)
+        assert {(16, 108), (17, 108)} <= set(predicted)
+        assert max(dip.s for dip in result.dips) <= 250.0
+        assert result.runtime_stats["edge_points"] == 2
 
 
 class TestCovering:

@@ -22,10 +22,11 @@ from zetacycles.operators import (
     scaling_theta,
     trace_identity_check,
 )
-from zetacycles.schwartz import linear_combination, make_test_function, mellin_psi
+from zetacycles.schwartz import gaussian_seed, linear_combination, make_test_function, mellin_psi
 from zetacycles.specfun import zeta_critical
 
 EPS = np.finfo(float).eps
+CRITERION_1_LENGTHS = (0.8, 1.0, math.log(4.0))
 
 
 def vector_rel_diff(a: CircleFunction, b: CircleFunction) -> float:
@@ -114,6 +115,42 @@ class TestFourier:
             expected = zeta_critical(-z, cfg) * mellin_psi(family[1], z).psi
             expected /= math.sqrt(L)
             assert abs(xi.coeff(n) - expected) <= 1e-12 * (1.0 + abs(expected))
+
+    def test_closed_is_the_scalar_product_on_criterion_1(self, family):
+        """The array rows equal L^(-1/2) zeta(-s) psi_f(s) from the scalar
+        evaluators at every mode of criterion 1's nine cases."""
+        for f in family:
+            for L in CRITERION_1_LENGTHS:
+                xi = fourier_closed(f, L, N=32)
+                for n in range(-32, 33):
+                    s = 2.0 * math.pi * n / L
+                    expected = zeta_critical(-s) * mellin_psi(f, s).psi / math.sqrt(L)
+                    assert abs(xi.coeff(n) - expected) <= 1e-15 * abs(expected), (f.label, L, n)
+
+    def test_direct_matches_closed_on_criterion_1(self, family):
+        worst = max(
+            vector_rel_diff(fourier_direct(f, L, N=32), fourier_closed(f, L, N=32))
+            for f in family
+            for L in CRITERION_1_LENGTHS
+        )
+        assert worst <= 1e-12
+
+    def test_canonical_vector_tail(self, canonical):
+        """f(0) = -1: the -v^(1/2) f(0)/2 tail of E is summed far enough down
+        for the two routes to agree to 1e-12. With a degree-20 part, fh's
+        polynomial at m/v ~ e^80 would overflow if it were not clipped."""
+        steep = linear_combination([canonical, make_test_function(8)], [1.0, 1e-6])
+        for f in (canonical, steep):
+            for L in CRITERION_1_LENGTHS:
+                direct = fourier_direct(f, L, N=16)
+                assert vector_rel_diff(direct, fourier_closed(f, L, N=16)) <= 1e-12
+
+    def test_not_mean_zero_is_rejected(self):
+        """The periodization of a function with nonzero integral diverges."""
+        with pytest.raises(ValueError, match="not mean-zero"):
+            fourier_direct(gaussian_seed(0), 0.8, N=16)
+        for k in range(9):  # integral 0 up to the rounding of its terms
+            fourier_direct(make_test_function(k), 0.8, N=16)
 
     def test_conjugate_symmetry_of_coefficients(self, family):
         xi = fourier_direct(family[0], 0.9, N=12)
