@@ -21,7 +21,6 @@ from .schwartz import TestFunction, mellin_psi, mellin_psi_many
 from .specfun import (
     _GRID_BLOCK,
     VALIDATED_T_MAX,
-    EvalConfig,
     ZetaZero,
     _sign_changes,
     find_zeros,
@@ -125,7 +124,7 @@ def mode_count(L: float, t_max: float) -> int:
 
 
 def _row_data(
-    L: float, family: list[TestFunction], t_max: float, cfg: EvalConfig
+    L: float, family: list[TestFunction], t_max: float
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Detection matrix and per-row Mellin maxima for all |n| <= N."""
     n_modes = mode_count(L, t_max)
@@ -135,7 +134,7 @@ def _row_data(
     scale = L ** -0.5
     for i, n in enumerate(range(-n_modes, n_modes + 1)):
         s = _TWO_PI * n / L
-        zeta_factor = zeta_critical(-s, cfg)
+        zeta_factor = zeta_critical(-s)
         psi_vals = np.array([mellin_psi(f, s).psi for f in family])
         entries[i] = scale * zeta_factor * psi_vals
         psi_max[i] = float(np.max(np.abs(psi_vals)))
@@ -159,7 +158,6 @@ def detect(
     family: list[TestFunction],
     t_max: float = 60.0,
     tol: float = 1e-4,
-    cfg: EvalConfig | None = None,
     zeros: list[ZetaZero] | None = None,
 ) -> CycleReport:
     """Decide whether the circle of length L hosts a collapsed row.
@@ -173,9 +171,7 @@ def detect(
         raise ValueError("family must be nonempty")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if cfg is None:
-        cfg = EvalConfig()
-    n_modes, _, raw, zscores = _row_data(L, family, t_max, cfg)
+    n_modes, _, raw, zscores = _row_data(L, family, t_max)
     modes = range(-n_modes, n_modes + 1)
     row_scores = dict(zip(modes, raw.tolist()))
     zeta_scores = dict(zip(modes, zscores.tolist()))
@@ -184,7 +180,7 @@ def detect(
         if n != 0 and abs(_TWO_PI * n / L) <= t_max and score < tol
     ]
     if flagged and zeros is None:
-        zeros = find_zeros(0.0, t_max, cfg)
+        zeros = find_zeros(0.0, t_max)
     matched = []
     for n in flagged:
         s = _TWO_PI * n / L
@@ -208,31 +204,31 @@ def scan(
     step: float,
     family: list[TestFunction],
     t_max: float = 60.0,
-    cfg: EvalConfig | None = None,
 ) -> ScanResult:
     """Profile the minimum zeta-scale row score over an L-grid, and find the cycles.
 
-    A dip is a sign change of Z(2 pi n / L) between neighbouring grid lengths,
-    both with 2 pi n / L <= t_max, in a row n; it is refined to a root s* of Z,
-    and L* = 2 pi n / s*. The cycles L = 2 pi n / t_k are all found where one
-    L step moves each row's frequency by less than the zero spacing there: a
-    bracket may end at a row's last cell above t_max, where Z is evaluated (up
-    to VALIDATED_T_MAX) for its sign only, outside the profile and zeta_points;
-    a root above t_max is dropped. Profile and refinement share one policy,
-    refinement_config(cfg, t_max).
+    The grid steps from L_min and ends at L_max, with a shorter last step if
+    need be. A dip is a sign change of Z(2 pi n / L) between neighbouring grid
+    lengths, both with 2 pi n / L <= t_max, in a row n; it is refined to a
+    root s* of Z, and L* = 2 pi n / s*. The cycles L = 2 pi n / t_k are all
+    found where one L step moves each row's frequency by less than the zero
+    spacing there: a bracket may end at a row's last cell above t_max, where Z
+    is evaluated (up to VALIDATED_T_MAX) for its sign only, outside the profile
+    and zeta_points; a root above t_max is dropped. Profile and refinement
+    share one policy, refinement_config(t_max).
     """
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    if cfg is None:
-        cfg = EvalConfig()
     started = time.perf_counter()
-    count = int(math.floor((L_max - L_min) / step + 1e-9)) + 1
-    l_values = L_min + step * np.arange(count)
+    l_values = L_min + step * np.arange(int(math.floor((L_max - L_min) / step + 1e-9)) + 1)
+    if L_max - l_values[-1] > 1e-9 * step:
+        l_values = np.append(l_values, L_max)
+    count = l_values.size
     if _TWO_PI / L_min > t_max:  # the frequency of row 1 falls as L grows
         raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L_min:g}")
-    cfg = refinement_config(cfg, t_max)
+    cfg = refinement_config(t_max)
     z = partial(riemann_siegel_Z, cfg=cfg)
 
     # |zeta| is the row score: one zeta_critical_many call per chunk of at most
@@ -296,15 +292,14 @@ def covering_stability(
     family: list[TestFunction],
     t_max: float = 60.0,
     tol: float = 1e-4,
-    cfg: EvalConfig | None = None,
     zeros: list[ZetaZero] | None = None,
 ) -> list[CycleReport]:
     """detect at k * L_star for each k; the base length must already verify."""
-    base = detect(L_star, family, t_max, tol, cfg, zeros)
+    base = detect(L_star, family, t_max, tol, zeros)
     if not base.verdict:
         raise ValueError(f"detect({L_star:g}) is negative; nothing to propagate")
     return [
-        base if k == 1 else detect(k * L_star, family, t_max, tol, cfg, zeros)
+        base if k == 1 else detect(k * L_star, family, t_max, tol, zeros)
         for k in multiples
     ]
 
@@ -332,10 +327,6 @@ def svd_dip_score(matrix: DetectionMatrix) -> float:
     return float(np.linalg.svd(matrix.entries / norms, compute_uv=False)[-1])
 
 
-def build_matrix(
-    L: float, family: list[TestFunction], t_max: float = 60.0, cfg: EvalConfig | None = None
-) -> DetectionMatrix:
-    if cfg is None:
-        cfg = EvalConfig()
-    n_modes, entries, _, _ = _row_data(L, family, t_max, cfg)
+def build_matrix(L: float, family: list[TestFunction], t_max: float = 60.0) -> DetectionMatrix:
+    n_modes, entries, _, _ = _row_data(L, family, t_max)
     return DetectionMatrix(L=L, N=n_modes, entries=entries)

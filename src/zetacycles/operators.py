@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schwartz import RepresentationError, TestFunction, _decay_certificate, mellin_psi_many
-from .specfun import EvalConfig, zeta_critical_many
+from .specfun import zeta_critical_many
 
 __all__ = [
     "CircleFunction",
@@ -153,9 +153,7 @@ def trace_identity_check(f: TestFunction, u: float) -> float:
 # times the Mellin factor psi_f(2 pi n / L).
 
 
-def fourier_closed(
-    f: TestFunction, L: float, N: int, cfg: EvalConfig | None = None
-) -> CircleFunction:
+def fourier_closed(f: TestFunction, L: float, N: int) -> CircleFunction:
     """c_n for |n| <= N on the array evaluators: zeta once for n >= 0, mirrored
     to n < 0 by conjugation, and psi_f on the whole row."""
     if L <= 0.0:
@@ -163,7 +161,7 @@ def fourier_closed(
     if N < 1:
         raise ValueError("mode count N must be at least 1")
     s = _TWO_PI * np.arange(-N, N + 1) / L
-    zeta = zeta_critical_many(-s[N:], cfg)[0]  # zeta(1/2 - i s_n), n = 0..N
+    zeta = zeta_critical_many(-s[N:])[0]  # zeta(1/2 - i s_n), n = 0..N
     row = L ** -0.5 * np.concatenate([zeta[:0:-1].conj(), zeta]) * mellin_psi_many(f, s)
     return CircleFunction(L, dict(zip(range(-N, N + 1), row.tolist())), N)
 

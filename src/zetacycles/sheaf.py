@@ -18,12 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .operators import CircleFunction
-from .specfun import (
-    EvalConfig,
-    ZetaZero,
-    finite_difference_weights,
-    zeta_critical,
-)
+from .specfun import ZetaZero, finite_difference_weights, zeta_critical
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -56,6 +51,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MIN_GRID_POINTS = 8
+_GRID_L_MAX = 4.0  # longest circle of the section grid
+_GRID_PER_DECADE = 64  # geometric points per decade of L
 _JET_EXTRA_NODES = 9
 
 
@@ -163,25 +160,20 @@ def make_section(
     return GlobalSection(grid, plus, minus, vanishing_order_at_zero)
 
 
-def build_section_grid(
-    t_max: float,
-    zeros: Sequence[ZetaZero],
-    L_max: float = 4.0,
-    per_decade: int = 64,
-) -> np.ndarray:
-    """Geometric grid on [2 pi / t_max, L_max] with exact zero loci inserted.
+def build_section_grid(t_max: float, zeros: Sequence[ZetaZero]) -> np.ndarray:
+    """Geometric grid on [2 pi / t_max, _GRID_L_MAX] with exact zero loci inserted.
 
     Each locus L_k = 2 pi / t_k enters together with its integer multiples
-    up to 4 L_k (capped at L_max) so that covering comparisons stay on-grid.
-    Geometric points closer than 1e-6 L to an inserted locus are dropped so
-    local difference stencils never see near-duplicate nodes.
+    up to 4 L_k (capped at _GRID_L_MAX) so that covering comparisons stay
+    on-grid. Geometric points closer than 1e-6 L to an inserted locus are
+    dropped so local difference stencils never see near-duplicate nodes.
     """
-    if t_max <= 0.0 or L_max <= 0.0:
-        raise ValueError("t_max and L_max must be positive")
-    L_min = _TWO_PI / t_max
+    if t_max <= 0.0:
+        raise ValueError("t_max must be positive")
+    L_min, L_max = _TWO_PI / t_max, _GRID_L_MAX
     if L_min >= L_max:
-        raise ValueError("grid range is empty; raise L_max or t_max")
-    count = int(math.ceil(per_decade * math.log10(L_max / L_min))) + 1
+        raise ValueError(f"grid range is empty; raise t_max above 2 pi / {L_max:g}")
+    count = int(math.ceil(_GRID_PER_DECADE * math.log10(L_max / L_min))) + 1
     base = np.geomspace(L_min, L_max, max(count, _MIN_GRID_POINTS))
     exact: list[float] = []
     for z in zeros:
@@ -332,11 +324,7 @@ class IdealGenerator:
                     )
 
 
-def zeta_generator(
-    sign: int,
-    zeros: Sequence[ZetaZero],
-    cfg: EvalConfig | None = None,
-) -> IdealGenerator:
+def zeta_generator(sign: int, zeros: Sequence[ZetaZero]) -> IdealGenerator:
     """zeta_+ (sign +1) evaluates zeta(1/2 - 2 pi i / L), zeta_- the conjugate."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -345,7 +333,7 @@ def zeta_generator(
     locs = tuple((_TWO_PI / z.ordinate, z.multiplicity) for z in zeros)
 
     def evaluator(L: float) -> complex:
-        return zeta_critical(-sign * _TWO_PI / L, cfg)
+        return zeta_critical(-sign * _TWO_PI / L)
 
     kind = "zeta_plus" if sign == 1 else "zeta_minus"
     return IdealGenerator(kind=kind, zeros=locs, evaluator=evaluator)

@@ -5,9 +5,12 @@ funnels through `zeta_critical` or its array form `zeta_critical_many`, so
 this module carries the accuracy contracts: Euler-Maclaurin below
 `rs_threshold` (at one point, or over a block of points), a Riemann-Siegel
 main sum with remainder terms C0..C4 above it, and honest error accounting
-for both. Z is zeta rotated by e^{i theta}, on an array by `rotate_to_Z`;
-`find_zeros` and `cycles.scan` both take a zero as a sign change of Z between
-neighbouring points of such an array, refined by `refine_root`.
+for both; `_zeta_on_line` alone makes that choice. Only these evaluators and
+`riemann_siegel_Z` take an `EvalConfig`: the rest use the default policy, or
+its lift by `refinement_config(t_max)`. Z is zeta rotated by e^{i theta}, on
+an array by `rotate_to_Z`; `find_zeros` and `cycles.scan` both take a zero as
+a sign change of Z between neighbouring points of such an array, refined by
+`refine_root`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -333,19 +336,13 @@ def zeta_critical(t: float, cfg: EvalConfig | None = None) -> complex:
 
 
 def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued rotation of zeta."""
+    """Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued rotation of zeta, under
+    the guards of zeta_critical and the 1e-9 residual guard of rotate_to_Z."""
     if cfg is None:
         cfg = EvalConfig()
     t = float(t)
     if t < 0.0:
         raise ValueError("riemann_siegel_Z requires t >= 0")
-    if t > VALIDATED_T_MAX:
-        raise _range_error(t)
-    if t >= cfg.rs_threshold:
-        value, bound = _riemann_siegel_raw(t)
-        if bound > cfg.target_abs_error:
-            raise _bound_error(bound, t, cfg)
-        return value
     zeta_val, _ = _zeta_on_line(t, cfg)
     rotated = cmath.exp(1j * siegel_theta(t)) * zeta_val
     if abs(rotated.imag) > 1e-9:
@@ -408,15 +405,13 @@ _ZERO_GRID_STEP = 0.04
 _ROOT_XTOL = 1e-12
 
 
-def refinement_config(cfg: EvalConfig, t_max: float) -> EvalConfig:
-    """cfg for refining roots of Z up to t_max, with the Riemann-Siegel threshold
-    lifted above t_max (within the validated range): the Euler-Maclaurin floor
-    ~1e-13 certifies a 1e-9 ordinate, the Riemann-Siegel noise ~1e-8 cannot."""
-    return replace(
-        cfg,
-        rs_threshold=min(max(cfg.rs_threshold, t_max + 16.0), VALIDATED_T_MAX),
-        target_abs_error=max(cfg.target_abs_error, 1e-10),
-    )
+def refinement_config(t_max: float) -> EvalConfig:
+    """The default policy for refining roots of Z up to t_max, with the
+    Riemann-Siegel threshold lifted above t_max (within the validated range):
+    the Euler-Maclaurin floor ~1e-13 certifies a 1e-9 ordinate, the
+    Riemann-Siegel noise ~1e-8 cannot. find_zeros and cycles.scan use it."""
+    lifted = min(max(EvalConfig.rs_threshold, t_max + 16.0), VALIDATED_T_MAX)
+    return EvalConfig(rs_threshold=lifted)
 
 
 def refine_root(
@@ -468,18 +463,17 @@ def refine_root(
     return root, f_root, width, abs(seen[other] - f_root) / abs(other - root)
 
 
-def find_zeros(t_min: float, t_max: float, cfg: EvalConfig | None = None) -> list[ZetaZero]:
+def find_zeros(t_min: float, t_max: float) -> list[ZetaZero]:
     """All critical zeros with ordinate in (t_min, t_max].
 
     Sign changes of Z on a block-evaluated grid of step <= 0.04 are refined by
-    refine_root under refinement_config. abs_error is the bracket width plus
-    the evaluation bound over the secant slope.
+    refine_root; grid and refinement share one policy, refinement_config(t_max),
+    so below t_max every point is on Euler-Maclaurin. abs_error is the bracket
+    width plus the evaluation bound over the secant slope.
     """
-    if cfg is None:
-        cfg = EvalConfig()
     if not (0.0 <= t_min < t_max):
         raise ValueError("need 0 <= t_min < t_max")
-    refine_cfg = refinement_config(cfg, t_max)
+    refine_cfg = refinement_config(t_max)
 
     n_steps = int(math.ceil((t_max - t_min) / _ZERO_GRID_STEP))
     grid = t_min + (t_max - t_min) * np.arange(n_steps + 1) / n_steps
@@ -534,23 +528,21 @@ _JET_STEP = 0.03
 _JET_HALF_WIDTH = 6  # 13-point stencil, accuracy order >= 8 for orders <= 4
 
 
-def zeta_jet(t0: float, order: int, cfg: EvalConfig | None = None) -> list[complex]:
+def zeta_jet(t0: float, order: int) -> list[complex]:
     """[zeta(s0), zeta'(s0), ..., zeta^(order)(s0)] at s0 = 1/2 + i t0.
 
     Central finite differences along the t-axis, converted to s-derivatives
     with d/ds = -i d/dt per order.
     """
-    if cfg is None:
-        cfg = EvalConfig()
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
-    value = zeta_critical(t0, cfg)
+    value = zeta_critical(t0)
     if order == 0:
         return [value]
     offsets = np.arange(-_JET_HALF_WIDTH, _JET_HALF_WIDTH + 1, dtype=np.float64)
     nodes = t0 + offsets * _JET_STEP
     weights = finite_difference_weights(t0, nodes, order)
-    samples = np.array([zeta_critical(t, cfg) for t in nodes])
+    samples = np.array([zeta_critical(t) for t in nodes])
     jets = [value]
     for k in range(1, order + 1):
         dt_k = complex(np.sum(weights[k] * samples))

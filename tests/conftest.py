@@ -23,8 +23,8 @@ def canonical():
 
 
 @pytest.fixture(scope="session")
-def zeros60(cfg):
-    return find_zeros(0.0, 60.0, cfg)
+def zeros60():
+    return find_zeros(0.0, 60.0)
 
 
 @pytest.fixture(scope="session")

@@ -164,7 +164,7 @@ def test_criterion_7_laplacian_negativity(zeros60):
     assert worst_mult <= 1e-14
 
 
-def test_criterion_8_sheaf_layer(section_grid, zeros60, cfg):
+def test_criterion_8_sheaf_layer(section_grid, zeros60):
     rng = np.random.default_rng(8)
 
     worst_gamma = 0.0
@@ -196,7 +196,7 @@ def test_criterion_8_sheaf_layer(section_grid, zeros60, cfg):
             )
     assert worst_gamma <= 1e-10
 
-    zg = zeta_generator(1, zeros60, cfg)
+    zg = zeta_generator(1, zeros60)
     gvals = np.array([zg.evaluator(float(L)) for L in section_grid])
     sg = synthetic_generator(1.0, order=2)
     svals = np.array([sg.evaluator(float(L)) for L in section_grid])

@@ -76,7 +76,7 @@ class TestDetect:
     def test_zeta_score_identity(self, family, cfg, zeros20):
         # L^(1/2) r_n must equal |zeta(1/2 + 2 pi i n / L)| for every row.
         for L in (0.7, L_STAR):
-            report = detect(L, family, t_max=20.0, zeros=zeros20, cfg=cfg)
+            report = detect(L, family, t_max=20.0, zeros=zeros20)
             for n, score in report.zeta_scores.items():
                 target = abs(zeta_critical(-2.0 * math.pi * n / L, cfg))
                 assert abs(score - target) <= 1e-10 * (1.0 + target)
@@ -120,6 +120,17 @@ class TestScan:
         assert abs(dip.s - T1) <= 1e-6
         assert dip.z_residual < 1e-8
         assert result.runtime_stats["grid_points"] == 61
+
+    def test_grid_ends_at_L_max(self, family):
+        """A window that step does not divide still ends at L_max: the cycle
+        L* = 2 pi / t_1 = 0.444521 lies past its last step, 0.444."""
+        result = scan(0.40, 0.4449, 1e-3, family, t_max=60.0)
+        assert result.grid[-1][0] == 0.4449
+        assert result.runtime_stats["grid_points"] == 46
+        predicted = predicted_cycles(0.40, 0.4449, 60.0)
+        assert (1, 1) in predicted
+        assert len(result.dips) == len(predicted)
+        match_one_to_one(result.dips, predicted, 1e-12)
 
     def test_profile_matches_grid(self, family):
         result = scan(0.42, 0.43, 2e-3, family, t_max=20.0)

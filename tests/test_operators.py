@@ -109,7 +109,7 @@ class TestFourier:
     def test_closed_factorization(self, family, cfg):
         # c_n = L^{-1/2} zeta(1/2 - 2 pi i n / L) psi(2 pi n / L)
         L = 1.3
-        xi = fourier_closed(family[1], L, N=8, cfg=cfg)
+        xi = fourier_closed(family[1], L, N=8)
         for n in (-5, 1, 4):
             z = 2.0 * math.pi * n / L
             expected = zeta_critical(-z, cfg) * mellin_psi(family[1], z).psi

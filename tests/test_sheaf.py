@@ -72,7 +72,7 @@ class TestSectionGrid:
         with pytest.raises(ValueError):
             build_section_grid(-1.0, zeros60)
         with pytest.raises(ValueError):
-            build_section_grid(1.0, zeros60, L_max=4.0)
+            build_section_grid(1.0, zeros60)
 
 
 class TestGlobalSection:
@@ -268,8 +268,8 @@ class TestGenerators:
         with pytest.raises(ValueError):
             synthetic_generator(1.0, order=0)
 
-    def test_zeta_generator_vanishes_at_loci(self, zeros60, cfg):
-        g = zeta_generator(1, zeros60, cfg)
+    def test_zeta_generator_vanishes_at_loci(self, zeros60):
+        g = zeta_generator(1, zeros60)
         assert g.kind == "zeta_plus"
         assert len(g.zeros) == len(zeros60)
         locus = g.zeros[0][0]
@@ -291,10 +291,8 @@ class TestGenerators:
 
 
 class TestIdealMembership:
-    def test_constant_fails_with_one_witness_per_zero(
-        self, section_grid, zeros60, cfg
-    ):
-        g = zeta_generator(1, zeros60, cfg)
+    def test_constant_fails_with_one_witness_per_zero(self, section_grid, zeros60):
+        g = zeta_generator(1, zeros60)
         f = SampledFunction(section_grid, np.ones(section_grid.size))
         member, witnesses = ideal_membership(f, g)
         assert not member
@@ -304,8 +302,8 @@ class TestIdealMembership:
         locs = sorted(w.location for w in witnesses)
         assert locs[-1] == pytest.approx(TWO_PI / zeros60[0].ordinate)
 
-    def test_multiple_of_generator_is_member(self, section_grid, zeros60, cfg):
-        g = zeta_generator(1, zeros60, cfg)
+    def test_multiple_of_generator_is_member(self, section_grid, zeros60):
+        g = zeta_generator(1, zeros60)
         values = np.array(
             [(2.0 + math.sin(L)) * g.evaluator(float(L)) for L in section_grid]
         )
@@ -388,10 +386,10 @@ class TestJordanStructure:
         assert report.order0_residual == 0.0
         assert report.order1_rel_error == 0.0
 
-    def test_validation(self, section, zeros60, cfg):
+    def test_validation(self, section, zeros60):
         with pytest.raises(ValueError):
             jordan_structure(-2.0, section, synthetic_generator(0.75, 2))
         with pytest.raises(ValueError):
             jordan_structure(2.0, section, synthetic_generator(0.75, 1))
         with pytest.raises(ValueError):
-            jordan_structure(2.0, section, zeta_generator(1, zeros60, cfg))
+            jordan_structure(2.0, section, zeta_generator(1, zeros60))

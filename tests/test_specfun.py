@@ -159,8 +159,8 @@ class TestFindZeros:
             assert z.multiplicity == 1
             assert abs(zeta_critical(z.ordinate, cfg)) < 1e-6
 
-    def test_empty_below_first_zero(self, cfg):
-        assert find_zeros(0.0, 5.0, cfg) == []
+    def test_empty_below_first_zero(self):
+        assert find_zeros(0.0, 5.0) == []
 
     def test_multiplicity_override_unimplemented(self):
         # the knob is gone: zeros are simple, multiplicities live in the sheaf layer
@@ -202,14 +202,14 @@ class TestBlockEvaluation:
     """The block path of the Euler-Maclaurin routine, and Z rotated from it."""
 
     @staticmethod
-    def em_points(cfg):
-        lifted = refinement_config(cfg, 250.0).rs_threshold
+    def em_points():
+        lifted = refinement_config(250.0).rs_threshold
         return np.concatenate(
             [np.linspace(0.0, 99.9, 700), np.linspace(lifted - 1.0, lifted, 50, endpoint=False)]
         )
 
-    def test_block_matches_points(self, cfg):
-        t = self.em_points(cfg)
+    def test_block_matches_points(self):
+        t = self.em_points()
         for lo in range(0, t.size, 256):
             block = t[lo : lo + 256]
             values, bounds = specfun._zeta_euler_maclaurin(block)
@@ -223,9 +223,9 @@ class TestBlockEvaluation:
         zeta, bounds = zeta_critical_many(t, cfg)
         return rotate_to_Z(t, zeta), bounds
 
-    def test_z_grid_matches_points(self, cfg):
-        rcfg = refinement_config(cfg, 250.0)
-        t = self.em_points(cfg)
+    def test_z_grid_matches_points(self):
+        rcfg = refinement_config(250.0)
+        t = self.em_points()
         values, _ = self.z_many(t, rcfg)
         for x, value in zip(t, values):
             z1 = riemann_siegel_Z(float(x), rcfg)
@@ -238,6 +238,10 @@ class TestBlockEvaluation:
             assert value == pytest.approx(riemann_siegel_Z(float(x), cfg), rel=1e-15)
         for x, bound in zip(t[2:], bounds[2:]):
             assert bound == specfun._riemann_siegel_raw(float(x))[1]
+        # scalar Z above the threshold is the same dispatch, rotated back
+        for x in (100.0, 130.0, 259.0):
+            raw = specfun._riemann_siegel_raw(x)[0]
+            assert riemann_siegel_Z(x) == pytest.approx(raw, rel=1e-15, abs=0.0)
 
     def test_guards_raise_on_block(self, cfg, monkeypatch):
         with pytest.raises(AccuracyError, match="validated range"):
@@ -313,8 +317,8 @@ class TestRefineRoot:
         assert f_root == f(root)
         assert width <= 2e-12 + 1e-15 * abs(root)
 
-    def test_z_brackets_of_the_zero_grid(self, cfg):
-        rcfg = refinement_config(cfg, 250.0)
+    def test_z_brackets_of_the_zero_grid(self):
+        rcfg = refinement_config(250.0)
         grid = np.linspace(0.0, 250.0, 6251)
         values = rotate_to_Z(grid, zeta_critical_many(grid, rcfg)[0])
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
@@ -357,11 +361,11 @@ def test_em_bound_covers_error(t):
     assert abs(value - exact) <= bound
 
 
-def test_find_zeros_to_250_against_mpmath(cfg):
+def test_find_zeros_to_250_against_mpmath():
     """108 zeros up to t = 250; each abs_error bounds the distance to the
     matching mpmath zero (a spread sample: the full set takes 20 s)."""
     mpmath = pytest.importorskip("mpmath")
-    zeros = find_zeros(0.0, 250.0, cfg)
+    zeros = find_zeros(0.0, 250.0)
     assert len(zeros) == 108
     for k in (1, 16, 31, 46, 61, 76, 91, 106, 108):
         with mpmath.workdps(20):
@@ -371,16 +375,16 @@ def test_find_zeros_to_250_against_mpmath(cfg):
 
 class TestJets:
     @pytest.mark.parametrize("t0", list(ZETA_JET_SAMPLES.keys()))
-    def test_frozen_jets(self, t0, cfg):
+    def test_frozen_jets(self, t0):
         expected = ZETA_JET_SAMPLES[t0]
-        got = zeta_jet(t0, order=4, cfg=cfg)
+        got = zeta_jet(t0, order=4)
         budgets = [1e-9, 1e-9, 1e-8, 1e-7, 1e-6]
         for k, (g, e) in enumerate(zip(got, expected)):
             assert abs(g - e) <= budgets[k], f"order {k} at t0={t0}"
 
-    def test_order_validation(self, cfg):
+    def test_order_validation(self):
         with pytest.raises(ValueError):
-            zeta_jet(25.0, order=5, cfg=cfg)
+            zeta_jet(25.0, order=5)
 
 
 @settings(max_examples=60, deadline=None)
