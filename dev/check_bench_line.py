@@ -4,17 +4,19 @@
         | python3 dev/check_bench_line.py --trace 1
 
 Reads the run's stdout and exits 1 unless its last line parses as a JSON
-object that reports `correct: true` and names every metric BENCHMARK.json
-lists for that kind of run: the `end_to_end` metrics for `--trace 0`, the
-`per_layer` metrics for `--trace 1`. A run can exit 0 and still drop a metric
-(zcbench reports a metric whose target function is gone as missing, and
-leaves it out), so its exit code alone does not show this.
+object that reports `correct: true` and gives a finite value for every
+metric BENCHMARK.json lists for that kind of run: the `end_to_end` metrics
+for `--trace 0`, the `per_layer` metrics for `--trace 1`. A run can exit 0
+and still drop a metric (zcbench reports a metric whose target function is
+gone as missing, and leaves it out) or write one as null (a non-finite
+value), so its exit code alone does not show this.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +37,10 @@ def problems(last_line: str, trace: int) -> list[str]:
     for metric in json.loads(BENCHMARK.read_text())[section]:
         if metric["name"] not in named:
             found.append(f"{section} metric {metric['name']} is missing")
+            continue
+        value = named[metric["name"]].get("value")
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            found.append(f"{section} metric {metric['name']} is {value!r}, not a finite number")
     return found
 
 

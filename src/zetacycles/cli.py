@@ -136,6 +136,11 @@ def _write_runtime(out_dir: Path, command: str, seconds: float, extra=None) -> N
 
 
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
+    if cfg.t_max > specfun.VALIDATED_T_MAX:  # no cache can cover it: `zeros` would fail too
+        raise ConfigError(
+            f"t_max = {cfg.t_max:g} exceeds the validated range of the zeros,"
+            f" VALIDATED_T_MAX = {specfun.VALIDATED_T_MAX:g}"
+        )
     cache = cfg.resolved_cache_path()
     if not cache.exists():
         raise MissingCacheError(

@@ -10,7 +10,8 @@ for both; `_zeta_on_line` alone makes that choice. Only these evaluators and
 its lift by `refinement_config(t_max)`. Z is zeta rotated by e^{i theta}, on
 an array by `rotate_to_Z`; `find_zeros` and `cycles.scan` both take a zero as
 a sign change of Z between neighbouring points of such an array, refined by
-`refine_root`.
+`refine_root`. `find_zeros`' array is the Gram points g_j, where
+theta(g_j) = j pi, with Gram's law (-1)^j Z(g_j) > 0 checked at each.
 """
 
 from __future__ import annotations
@@ -401,16 +402,17 @@ def _sign_changes(values: np.ndarray) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 # Root refinement and zero finding.
 
-_ZERO_GRID_STEP = 0.04
 _ROOT_XTOL = 1e-12
 
 
 def refinement_config(t_max: float) -> EvalConfig:
     """The default policy for refining roots of Z up to t_max, with the
-    Riemann-Siegel threshold lifted above t_max (within the validated range):
+    Riemann-Siegel threshold lifted above t_max, at most to just past
+    VALIDATED_T_MAX, so VALIDATED_T_MAX itself is on Euler-Maclaurin too:
     the Euler-Maclaurin floor ~1e-13 certifies a 1e-9 ordinate, the
     Riemann-Siegel noise ~1e-8 cannot. find_zeros and cycles.scan use it."""
-    lifted = min(max(EvalConfig.rs_threshold, t_max + 16.0), VALIDATED_T_MAX)
+    cap = math.nextafter(VALIDATED_T_MAX, math.inf)
+    lifted = min(max(EvalConfig.rs_threshold, t_max + 16.0), cap)
     return EvalConfig(rs_threshold=lifted)
 
 
@@ -463,22 +465,55 @@ def refine_root(
     return root, f_root, width, abs(seen[other] - f_root) / abs(other - root)
 
 
+def _gram_points(t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(j, g_j) for every Gram point g_j <= t_max on the rising branch of theta,
+    where theta(g_j) = j pi, from j = -1 (g_{-1} ~ 9.667) up. Newton's method on
+    siegel_theta, with theta' from digamma, from the Lambert-W solution of the
+    asymptotic theta(t) ~ (t/2) log(t / (2 pi e)) - pi/8."""
+    j = np.arange(-1, math.floor(siegel_theta(t_max) / math.pi) + 1)
+    g = _TWO_PI * math.e * np.exp(special.lambertw((8 * j + 1) / (8 * math.e)).real)
+    for _ in range(20):
+        step = (siegel_theta(g) - j * math.pi) / (
+            0.5 * special.digamma(0.25 + 0.5j * g).real - 0.5 * _LOG_PI
+        )
+        g = g - step
+        if not np.abs(step).max(initial=0.0) > 1e-10:
+            return j, g
+    raise RuntimeError("Newton's method for the Gram points failed to converge")
+
+
 def find_zeros(t_min: float, t_max: float) -> list[ZetaZero]:
     """All critical zeros with ordinate in (t_min, t_max].
 
-    Sign changes of Z on a block-evaluated grid of step <= 0.04 are refined by
-    refine_root; grid and refinement share one policy, refinement_config(t_max),
-    so below t_max every point is on Euler-Maclaurin. abs_error is the bracket
-    width plus the evaluation bound over the secant slope.
+    Z is evaluated in one block on the Gram points g_j in (t_min, t_max) and
+    the two ends. Gram's law, (-1)^j Z(g_j) > 0, is checked at every Gram
+    point, and a bad one raises AccuracyError; it holds below VALIDATED_T_MAX
+    (the first bad Gram point is g_126 ~ 282.45). Sign changes are refined
+    by refine_root; grid and refinement share one policy,
+    refinement_config(t_max), so below t_max every point is on
+    Euler-Maclaurin. abs_error is the final bracket's width plus the larger
+    evaluation bound at the Gram bracket's two ends over the secant slope; the
+    Euler-Maclaurin bound rises with t, so that covers every point refined in
+    between. Gram's law gives an odd number of zeros in each Gram interval,
+    not one: multiplicity = 1 is assumed, not proven.
     """
     if not (0.0 <= t_min < t_max):
         raise ValueError("need 0 <= t_min < t_max")
+    if t_max > VALIDATED_T_MAX:  # before the Gram points, whose count grows with t_max
+        raise _range_error(t_max)
     refine_cfg = refinement_config(t_max)
 
-    n_steps = int(math.ceil((t_max - t_min) / _ZERO_GRID_STEP))
-    grid = t_min + (t_max - t_min) * np.arange(n_steps + 1) / n_steps
+    j, gram = _gram_points(t_max)
+    inside = (gram > t_min) & (gram < t_max)
+    j, gram = j[inside], gram[inside]
+    grid = np.concatenate(([t_min], gram, [t_max]))
     zeta, bounds = zeta_critical_many(grid, refine_cfg)
     values = rotate_to_Z(grid, zeta)
+    if (bad := (-1.0) ** j * values[1:-1] <= 0.0).any():
+        k = bad.argmax()
+        raise AccuracyError(
+            f"Gram's law fails at g_{j[k]} = {gram[k]:.6f}: Z(g_{j[k]}) = {values[k + 1]:.3g}"
+        )
     z = partial(riemann_siegel_Z, cfg=refine_cfg)
     zeros: list[ZetaZero] = []
     for i in _sign_changes(values)[0]:

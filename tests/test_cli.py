@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
-from zetacycles import cli
+from zetacycles import cli, specfun
 from zetacycles.sheaf import build_section_grid, section_to_payload, GlobalSection
 from zetacycles.specfun import ZetaZero
 
@@ -127,6 +127,14 @@ class TestLibraryErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: AccuracyError:") and err.count("\n") == 1
 
+    def test_bad_gram_point(self, capsys, monkeypatch):
+        exact = specfun.rotate_to_Z
+        monkeypatch.setattr(specfun, "rotate_to_Z", lambda t, zeta: -exact(t, zeta))
+        assert run("--t-max", "20", "zeros") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: AccuracyError: Gram's law fails at g_-1")
+        assert err.count("\n") == 1
+
     def test_unknown_family_member(self, capsys):
         assert run("--family-ks", "9", "verify") == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -182,6 +190,14 @@ class TestCacheGate:
         seed_cache(20.0)
         assert run("--t-max", "40", "laplacian") == cli.EXIT_USAGE
         assert "rerun" in capsys.readouterr().err
+
+    def test_past_validated_range_names_the_limit(self, capsys):
+        # rerunning `zeros` cannot cover t_max = 300, so the message must not suggest it
+        seed_cache(60.0)
+        assert run("--t-max", "300", "detect", "1.0") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "VALIDATED_T_MAX = 260" in err and "rerun" not in err
+        assert err.count("\n") == 1
 
 
 class TestDetect:

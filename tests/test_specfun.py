@@ -162,6 +162,68 @@ class TestFindZeros:
     def test_empty_below_first_zero(self):
         assert find_zeros(0.0, 5.0) == []
 
+    def test_gram_points(self):
+        """theta(g_j) = j pi for j = -1..112, every Gram point below
+        VALIDATED_T_MAX, and g_j agrees with mpmath.grampoint."""
+        j, gram = specfun._gram_points(VALIDATED_T_MAX)
+        assert j.tolist() == list(range(-1, 113))
+        assert gram[0] == pytest.approx(9.666908056, abs=1e-9)
+        assert (np.diff(gram) > 0.0).all() and gram[-1] <= VALIDATED_T_MAX
+        assert np.abs(siegel_theta(gram) - j * math.pi).max() <= 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        for k in (0, 1, 17, 50, 88, 112):
+            assert gram[k + 1] == pytest.approx(float(mpmath.grampoint(k)), abs=1e-12)
+
+    def test_to_validated_t_max(self):
+        """The whole validated range: 114 zeros, frozen from mpmath.nzeros(260),
+        the first 108 being those below 250. The last zero's bracket ends at
+        t_max = VALIDATED_T_MAX, which is on Euler-Maclaurin too, so its
+        abs_error stays below 1e-9 and bounds the distance to mpmath."""
+        zeros = find_zeros(0.0, VALIDATED_T_MAX)
+        assert len(zeros) == 114
+        below = find_zeros(0.0, 250.0)
+        assert [z.ordinate for z in zeros[:108]] == pytest.approx(
+            [z.ordinate for z in below], abs=1e-12
+        )
+        assert 250.0 < zeros[108].ordinate and zeros[-1].ordinate < VALIDATED_T_MAX
+        assert max(z.abs_error for z in zeros) <= 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            exact = float(mpmath.zetazero(114).imag)
+        assert abs(zeros[-1].ordinate - exact) <= zeros[-1].abs_error
+
+    @pytest.mark.parametrize("t_min", [20.0, "g_0", 100.0])
+    def test_lower_end_cuts_a_slice(self, t_min):
+        """A lower end inside a Gram interval, on a Gram point, or anywhere
+        gives the zeros of find_zeros(0, 250) above it; only the first zero's
+        bracket differs, so every later one is the same record."""
+        if t_min == "g_0":
+            t_min = float(specfun._gram_points(20.0)[1][1])
+        whole = find_zeros(0.0, 250.0)
+        above = [z for z in whole if z.ordinate > t_min]
+        part = find_zeros(t_min, 250.0)
+        assert [z.ordinate for z in part] == pytest.approx(
+            [z.ordinate for z in above], abs=1e-12
+        )
+        assert part[1:] == above[1:]
+
+    def test_first_zero_alone(self):
+        (zero,) = find_zeros(0.0, 14.2)
+        assert abs(zero.ordinate - ZERO_ORDINATES[0]) <= zero.abs_error <= 1e-9
+
+    def test_bad_gram_point_raises(self, monkeypatch):
+        """A Gram point where (-1)^j Z(g_j) <= 0, forced here by flipping the
+        sign of Z at g_20, is reported by name rather than trusted."""
+        g_20 = specfun._gram_points(100.0)[1][21]
+        exact = specfun.rotate_to_Z
+
+        def flip_at_g_20(t, zeta):
+            return np.where(t == g_20, -1.0, 1.0) * exact(t, zeta)
+
+        monkeypatch.setattr(specfun, "rotate_to_Z", flip_at_g_20)
+        with pytest.raises(AccuracyError, match=f"Gram's law fails at g_20 = {g_20:.6f}"):
+            find_zeros(0.0, 100.0)
+
     def test_multiplicity_override_unimplemented(self):
         # the knob is gone: zeros are simple, multiplicities live in the sheaf layer
         with pytest.raises(TypeError):
@@ -318,8 +380,11 @@ class TestRefineRoot:
         assert width <= 2e-12 + 1e-15 * abs(root)
 
     def test_z_brackets_of_the_zero_grid(self):
+        """The Gram-point brackets that find_zeros refines, about 40 times
+        wider than a 0.04 grid's."""
         rcfg = refinement_config(250.0)
-        grid = np.linspace(0.0, 250.0, 6251)
+        gram = specfun._gram_points(250.0)[1]
+        grid = np.concatenate(([0.0], gram, [250.0]))
         values = rotate_to_Z(grid, zeta_critical_many(grid, rcfg)[0])
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
         assert brackets.size == 108
@@ -359,6 +424,17 @@ def test_em_bound_covers_error(t):
     with mpmath.workdps(30):
         exact = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
     assert abs(value - exact) <= bound
+
+
+def test_em_bound_rises_with_t():
+    """find_zeros takes the larger Euler-Maclaurin bound of a Gram bracket's
+    two ends as the bound at every point refine_root evaluates inside it; that
+    holds because the bound never falls as t rises."""
+    t = np.linspace(0.0, VALIDATED_T_MAX, 26001)
+    bounds = np.concatenate(
+        [specfun._zeta_euler_maclaurin(t[lo : lo + 256])[1] for lo in range(0, t.size, 256)]
+    )
+    assert (np.diff(bounds) >= 0.0).all()
 
 
 def test_find_zeros_to_250_against_mpmath():
