@@ -9,13 +9,11 @@ sections.
 
 from .cycles import (
     CycleReport,
-    DetectionMatrix,
     Dip,
     ScanResult,
     covering_stability,
     detect,
     scan,
-    svd_dip_score,
 )
 from .laplacian import (
     QuotientEigenvalue,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CircleFunction",
     "CycleReport",
-    "DetectionMatrix",
     "Dip",
     "EvalConfig",
     "GlobalSection",
@@ -104,7 +101,6 @@ __all__ = [
     "scaling_theta",
     "scan",
     "siegel_theta",
-    "svd_dip_score",
     "theta_on_sections",
     "trace_identity_check",
     "zeta_critical",

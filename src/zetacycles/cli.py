@@ -125,6 +125,18 @@ def _meta_path(cache: Path) -> Path:
     return cache.with_suffix(cache.suffix + ".meta.json")
 
 
+def _covered_t_max(meta_file: Path) -> float | None:
+    """The t_max a cache's sidecar records, or None (coverage unknown) when
+    the sidecar is missing, or is not an object with a finite numeric t_max."""
+    try:
+        meta = json.loads(meta_file.read_text())
+    except (FileNotFoundError, ValueError):
+        return None
+    t_max = meta.get("t_max") if isinstance(meta, dict) else None
+    numeric = isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
+    return float(t_max) if numeric and math.isfinite(t_max) else None
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -147,14 +159,15 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
             f"zero cache {cache} not found; run `zetacycles zeros` first"
         )
     meta_file = _meta_path(cache)
-    if not meta_file.exists():  # an interrupted `zeros`: coverage unknown
+    covered = _covered_t_max(meta_file)
+    if covered is None:  # an interrupted `zeros`, or a damaged sidecar
         raise MissingCacheError(
-            f"zero cache {cache} has no {meta_file.name}; rerun `zetacycles zeros`"
+            f"zero cache {cache} has no readable t_max in {meta_file.name};"
+            " rerun `zetacycles zeros`"
         )
-    meta = json.loads(meta_file.read_text())
-    if meta.get("t_max", 0.0) < cfg.t_max:
+    if covered < cfg.t_max:
         raise MissingCacheError(
-            f"zero cache {cache} covers t <= {meta.get('t_max')}, need"
+            f"zero cache {cache} covers t <= {covered}, need"
             f" {cfg.t_max}; rerun `zetacycles zeros`"
         )
     return specfun.read_zero_cache(cache)
@@ -166,9 +179,8 @@ def cmd_zeros(cfg: RunConfig) -> int:
     cache = cfg.resolved_cache_path()
     out_dir = Path(cfg.output_dir)
     meta_file = _meta_path(cache)
-    reused = cache.exists() and meta_file.exists() and (
-        json.loads(meta_file.read_text()).get("t_max", -1.0) >= cfg.t_max
-    )
+    covered = _covered_t_max(meta_file)
+    reused = cache.exists() and covered is not None and covered >= cfg.t_max
     if not reused:
         zeros = specfun.find_zeros(0.0, cfg.t_max)
         cache.parent.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,9 @@ lengths where a row's Z changes sign, covering stability, and the complement
 spectrum.
 
 A circle length L is flagged when some Fourier row of the detection matrix
-collapses; because every entry factors as L^(-1/2) zeta(1/2 - i s_n) times a
-Mellin factor, the row score rescaled by L^(1/2) is exactly |zeta| at the row
-frequency, which is what the tolerance is quoted against.
+collapses; because every entry c_n(f_j) factors as L^(-1/2) zeta(1/2 - i s_n)
+times a Mellin factor, the row score rescaled by L^(1/2) is exactly |zeta| at
+the row frequency, which is what the tolerance is quoted against.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .specfun import (
     _sign_changes,
     find_zeros,
     refine_root,
-    refinement_config,
     riemann_siegel_Z,
     rotate_to_Z,
     zeta_critical,
@@ -34,19 +32,16 @@ from .specfun import (
 
 __all__ = [
     "CycleReport",
-    "DetectionMatrix",
     "Dip",
     "EmptySpectrumError",
     "FamilyDegenerateError",
     "MatchedZero",
     "ScanResult",
-    "build_matrix",
     "complement_spectrum",
     "covering_stability",
     "detect",
     "mode_count",
     "scan",
-    "svd_dip_score",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -66,18 +61,6 @@ class FamilyDegenerateError(ValueError):
 
 class EmptySpectrumError(ValueError):
     """Complement spectrum requested from a negative-verdict report."""
-
-
-@dataclass(frozen=True)
-class DetectionMatrix:
-    """entries[i, j] = c_n(f_j) with n = i - N running over [-N, N]."""
-
-    L: float
-    N: int
-    entries: np.ndarray
-
-    def row(self, n: int) -> np.ndarray:
-        return self.entries[n + self.N]
 
 
 @dataclass(frozen=True)
@@ -125,25 +108,23 @@ def mode_count(L: float, t_max: float) -> int:
 
 def _row_data(
     L: float, family: list[TestFunction], t_max: float
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Detection matrix and per-row Mellin maxima for all |n| <= N."""
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The mode count N, and the row scores max_j |c_n(f_j)| / max_j |psi_j|
+    with their zeta-scale form L^(1/2) times that, for all |n| <= N."""
     n_modes = mode_count(L, t_max)
-    rows = 2 * n_modes + 1
-    entries = np.zeros((rows, len(family)), dtype=np.complex128)
-    psi_max = np.zeros(rows)
+    raw = np.zeros(2 * n_modes + 1)
     scale = L ** -0.5
     for i, n in enumerate(range(-n_modes, n_modes + 1)):
         s = _TWO_PI * n / L
         zeta_factor = zeta_critical(-s)
         psi_vals = np.array([mellin_psi(f, s).psi for f in family])
-        entries[i] = scale * zeta_factor * psi_vals
-        psi_max[i] = float(np.max(np.abs(psi_vals)))
-        if psi_max[i] < _PSI_FLOOR:
+        psi_max = float(np.max(np.abs(psi_vals)))
+        if psi_max < _PSI_FLOOR:
             raise FamilyDegenerateError(
                 f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s:.6g}"
             )
-    raw = np.max(np.abs(entries), axis=1) / psi_max
-    return n_modes, entries, raw, raw * math.sqrt(L)
+        raw[i] = np.max(np.abs(scale * zeta_factor * psi_vals)) / psi_max
+    return n_modes, raw, raw * math.sqrt(L)
 
 
 def _nearest_zero(s: float, zeros: list[ZetaZero]) -> tuple[ZetaZero | None, float]:
@@ -171,7 +152,7 @@ def detect(
         raise ValueError("family must be nonempty")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n_modes, _, raw, zscores = _row_data(L, family, t_max)
+    n_modes, raw, zscores = _row_data(L, family, t_max)
     modes = range(-n_modes, n_modes + 1)
     row_scores = dict(zip(modes, raw.tolist()))
     zeta_scores = dict(zip(modes, zscores.tolist()))
@@ -215,7 +196,8 @@ def scan(
     spacing there: a bracket may end at a row's last cell above t_max, where Z
     is evaluated (up to VALIDATED_T_MAX) for its sign only, outside the profile
     and zeta_points; a root above t_max is dropped. Profile and refinement
-    share one policy, refinement_config(t_max).
+    are both on Euler-Maclaurin, through zeta_critical_many and
+    riemann_siegel_Z.
     """
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
@@ -228,8 +210,6 @@ def scan(
     count = l_values.size
     if _TWO_PI / L_min > t_max:  # the frequency of row 1 falls as L grows
         raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L_min:g}")
-    cfg = refinement_config(t_max)
-    z = partial(riemann_siegel_Z, cfg=cfg)
 
     # |zeta| is the row score: one zeta_critical_many call per chunk of at most
     # _SCAN_CELLS (L, n >= 1) cells, at the pairs with 2 pi n / L <= t_max
@@ -248,7 +228,7 @@ def scan(
         s_next = _TWO_PI * n / l_next[chunk, None]
         edge = ~pairs & (s_next <= t_max) & (s <= VALIDATED_T_MAX)
         t = s[pairs]
-        zeta = zeta_critical_many(t, cfg)[0]
+        zeta = zeta_critical_many(t)[0]
         scores = np.full(s.shape, np.inf)
         scores[pairs] = np.abs(zeta)
         psi_max = np.max([np.abs(mellin_psi_many(f, t)) for f in family], axis=0)
@@ -258,17 +238,18 @@ def scan(
             )
         best[chunk] = scores.min(axis=1)
         zeta_points += t.size
-        zeta_blocks += -(-int(np.count_nonzero(t < cfg.rs_threshold)) // _GRID_BLOCK)
+        zeta_blocks += -(-t.size // _GRID_BLOCK)
 
         z_rows = np.full(s.shape, np.nan)  # NaN off the pairs and edges: it brackets nothing
         z_rows[pairs] = rotate_to_Z(t, zeta)
-        z_rows[edge] = rotate_to_Z(s[edge], zeta_critical_many(s[edge], cfg)[0])
+        z_rows[edge] = rotate_to_Z(s[edge], zeta_critical_many(s[edge])[0])
         edge_points += int(np.count_nonzero(edge))
         s, z_rows = np.vstack([s_last, s]), np.vstack([z_last, z_rows])
         for i, j in zip(*_sign_changes(z_rows)):
             # frequency falls as L grows, so the bracket's ends swap
             s_star, z_star, _, _ = refine_root(
-                z, float(s[i + 1, j]), float(z_rows[i + 1, j]), float(s[i, j]), float(z_rows[i, j])
+                riemann_siegel_Z,
+                float(s[i + 1, j]), float(z_rows[i + 1, j]), float(s[i, j]), float(z_rows[i, j]),
             )
             if s_star <= t_max:
                 dips.append(Dip(_TWO_PI * int(n[j]) / s_star, int(n[j]), s_star, abs(z_star)))
@@ -310,23 +291,3 @@ def complement_spectrum(report: CycleReport) -> list[float]:
         raise EmptySpectrumError(f"no flagged rows at L = {report.L:g}")
     return sorted(_TWO_PI * n / report.L for n in report.flagged)
 
-
-def svd_dip_score(matrix: DetectionMatrix) -> float:
-    """Smallest singular value of the column-normalized detection matrix.
-
-    A coarse cross-check of the row-score analysis: the dominant n = 0 row
-    keeps the columns nearly parallel, the small angle between them is
-    carried by the +-1 rows, and when those collapse the singular value dips
-    sharply. It cannot separate closure from small angles; the row score can.
-    """
-    if matrix.N > 64:
-        raise ValueError("SVD cross-check is restricted to N <= 64")
-    norms = np.linalg.norm(matrix.entries, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("zero column in detection matrix")
-    return float(np.linalg.svd(matrix.entries / norms, compute_uv=False)[-1])
-
-
-def build_matrix(L: float, family: list[TestFunction], t_max: float = 60.0) -> DetectionMatrix:
-    n_modes, entries, _, _ = _row_data(L, family, t_max)
-    return DetectionMatrix(L=L, N=n_modes, entries=entries)

@@ -26,7 +26,6 @@ __all__ = [
     "apply_one_plus_H",
     "canonical_vector",
     "default_family",
-    "family_manifest",
     "gaussian_seed",
     "linear_combination",
     "make_test_function",
@@ -238,17 +237,6 @@ def default_family() -> list[TestFunction]:
     """The detection family (f0, f1, f2); no real z annihilates all three
     transforms since each is a nonvanishing Gamma factor times -(z^2+1/4)."""
     return [make_test_function(k) for k in (0, 1, 2)]
-
-
-def family_manifest(family: list[TestFunction]) -> list[dict]:
-    return [
-        {
-            "label": f.label,
-            "k": f.seed_k,
-            "psi_closed_form": f.closed_form_psi is not None,
-        }
-        for f in family
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Everything downstream (Fourier coefficients, dip scans, ideal generators)
 funnels through `zeta_critical` or its array form `zeta_critical_many`, so
-this module carries the accuracy contracts: Euler-Maclaurin below
-`rs_threshold` (at one point, or over a block of points), a Riemann-Siegel
-main sum with remainder terms C0..C4 above it, and honest error accounting
-for both; `_zeta_on_line` alone makes that choice. Only these evaluators and
-`riemann_siegel_Z` take an `EvalConfig`: the rest use the default policy, or
-its lift by `refinement_config(t_max)`. Z is zeta rotated by e^{i theta}, on
-an array by `rotate_to_Z`; `find_zeros` and `cycles.scan` both take a zero as
-a sign change of Z between neighbouring points of such an array, refined by
+this module carries the accuracy contracts: Euler-Maclaurin (at one point,
+or over a block of points), a Riemann-Siegel main sum with remainder terms
+C0..C4, and honest error accounting for both. `zeta_critical` alone takes an
+`EvalConfig`, and `_zeta_on_line` alone reaches Riemann-Siegel, at or above
+its `rs_threshold`. `zeta_critical_many`, `riemann_siegel_Z` and `zeta_jet`
+run on Euler-Maclaurin up to VALIDATED_T_MAX, under the target of
+`_EM_POLICY`. Z is zeta rotated by e^{i theta}, on an array by
+`rotate_to_Z`; `find_zeros` and `cycles.scan` both take a zero as a sign
+change of Z between neighbouring points of such an array, refined by
 `refine_root`. `find_zeros`' array is the Gram points g_j, where
 theta(g_j) = j pi, with Gram's law (-1)^j Z(g_j) > 0 checked at each.
 """
@@ -23,7 +24,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -43,7 +43,6 @@ __all__ = [
     "open_replacing",
     "read_zero_cache",
     "refine_root",
-    "refinement_config",
     "riemann_siegel_Z",
     "rotate_to_Z",
     "siegel_theta",
@@ -82,6 +81,10 @@ class EvalConfig:
             raise ValueError("rs_threshold must be >= 20")
         if not self.target_abs_error > 0.0:
             raise ValueError("target_abs_error must be positive")
+
+
+# The policy of every evaluator but zeta_critical: Euler-Maclaurin throughout.
+_EM_POLICY = EvalConfig(rs_threshold=math.inf)
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,8 @@ def _rotation_error(residual: float, t: float) -> AccuracyError:
 
 
 def _zeta_on_line(t: float, cfg: EvalConfig) -> tuple[complex, float]:
-    """(zeta(1/2+it), certified bound) for t >= 0, dispatching EM / RS."""
+    """(zeta(1/2+it), certified bound) for t >= 0: Euler-Maclaurin below
+    cfg.rs_threshold, Riemann-Siegel at or above it."""
     if t > VALIDATED_T_MAX:
         raise _range_error(t)
     if t < cfg.rs_threshold:
@@ -325,10 +329,8 @@ def _zeta_on_line(t: float, cfg: EvalConfig) -> tuple[complex, float]:
     return value, bound
 
 
-def zeta_critical(t: float, cfg: EvalConfig | None = None) -> complex:
+def zeta_critical(t: float, cfg: EvalConfig = EvalConfig()) -> complex:
     """zeta(1/2 + it) for real t, to within cfg.target_abs_error."""
-    if cfg is None:
-        cfg = EvalConfig()
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -336,15 +338,14 @@ def zeta_critical(t: float, cfg: EvalConfig | None = None) -> complex:
     return value.conjugate() if t < 0.0 else value
 
 
-def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued rotation of zeta, under
-    the guards of zeta_critical and the 1e-9 residual guard of rotate_to_Z."""
-    if cfg is None:
-        cfg = EvalConfig()
+def riemann_siegel_Z(t: float) -> float:
+    """Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued rotation of zeta, on
+    Euler-Maclaurin under the guards of zeta_critical and the 1e-9 residual
+    guard of rotate_to_Z."""
     t = float(t)
     if t < 0.0:
         raise ValueError("riemann_siegel_Z requires t >= 0")
-    zeta_val, _ = _zeta_on_line(t, cfg)
+    zeta_val, _ = _zeta_on_line(t, _EM_POLICY)
     rotated = cmath.exp(1j * siegel_theta(t)) * zeta_val
     if abs(rotated.imag) > 1e-9:
         raise _rotation_error(rotated.imag, t)
@@ -354,13 +355,11 @@ def riemann_siegel_Z(t: float, cfg: EvalConfig | None = None) -> float:
 _GRID_BLOCK = 256  # points per Euler-Maclaurin block: under 1 MB of terms
 
 
-def zeta_critical_many(t, cfg: EvalConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def zeta_critical_many(t) -> tuple[np.ndarray, np.ndarray]:
     """(zeta(1/2 + it), certified bound) at each point of a 1-D array of real t,
-    under every guard of zeta_critical: Euler-Maclaurin in blocks of _GRID_BLOCK
-    points below cfg.rs_threshold, in order of |t| so a block's sum lengths stay
-    alike, zeta_critical's Riemann-Siegel branch above, conjugation for t < 0."""
-    if cfg is None:
-        cfg = EvalConfig()
+    on Euler-Maclaurin under every guard of zeta_critical: blocks of _GRID_BLOCK
+    points in order of |t|, so a block's sum lengths stay alike, and
+    conjugation for t < 0."""
     t = np.asarray(t, dtype=np.float64)
     if not np.isfinite(t).all():
         raise ValueError("t must be finite")
@@ -368,16 +367,13 @@ def zeta_critical_many(t, cfg: EvalConfig | None = None) -> tuple[np.ndarray, np
     order = np.argsort(a)
     if order.size and a[order[-1]] > VALIDATED_T_MAX:
         raise _range_error(a[order[-1]])
-    n_em = int(np.searchsorted(a[order], cfg.rs_threshold))
     values, bounds = np.empty(t.size, dtype=np.complex128), np.empty(t.size)
-    for lo in range(0, n_em, _GRID_BLOCK):
-        block = order[lo : min(lo + _GRID_BLOCK, n_em)]
+    for lo in range(0, t.size, _GRID_BLOCK):
+        block = order[lo : lo + _GRID_BLOCK]
         values[block], bounds[block] = _zeta_euler_maclaurin(a[block])
-    if (over := bounds[order[:n_em]] > cfg.target_abs_error).any():
-        i = order[over.argmax()]
-        raise _bound_error(bounds[i], a[i], cfg)
-    for i in order[n_em:]:
-        values[i], bounds[i] = _zeta_on_line(a[i], cfg)
+    if (over := bounds > _EM_POLICY.target_abs_error).any():
+        i = over.argmax()
+        raise _bound_error(bounds[i], a[i], _EM_POLICY)
     return np.where(t < 0.0, values.conj(), values), bounds
 
 
@@ -403,17 +399,6 @@ def _sign_changes(values: np.ndarray) -> tuple[np.ndarray, ...]:
 # Root refinement and zero finding.
 
 _ROOT_XTOL = 1e-12
-
-
-def refinement_config(t_max: float) -> EvalConfig:
-    """The default policy for refining roots of Z up to t_max, with the
-    Riemann-Siegel threshold lifted above t_max, at most to just past
-    VALIDATED_T_MAX, so VALIDATED_T_MAX itself is on Euler-Maclaurin too:
-    the Euler-Maclaurin floor ~1e-13 certifies a 1e-9 ordinate, the
-    Riemann-Siegel noise ~1e-8 cannot. find_zeros and cycles.scan use it."""
-    cap = math.nextafter(VALIDATED_T_MAX, math.inf)
-    lifted = min(max(EvalConfig.rs_threshold, t_max + 16.0), cap)
-    return EvalConfig(rs_threshold=lifted)
 
 
 def refine_root(
@@ -489,35 +474,35 @@ def find_zeros(t_min: float, t_max: float) -> list[ZetaZero]:
     the two ends. Gram's law, (-1)^j Z(g_j) > 0, is checked at every Gram
     point, and a bad one raises AccuracyError; it holds below VALIDATED_T_MAX
     (the first bad Gram point is g_126 ~ 282.45). Sign changes are refined
-    by refine_root; grid and refinement share one policy,
-    refinement_config(t_max), so below t_max every point is on
-    Euler-Maclaurin. abs_error is the final bracket's width plus the larger
-    evaluation bound at the Gram bracket's two ends over the secant slope; the
-    Euler-Maclaurin bound rises with t, so that covers every point refined in
-    between. Gram's law gives an odd number of zeros in each Gram interval,
-    not one: multiplicity = 1 is assumed, not proven.
+    by refine_root on riemann_siegel_Z. Grid and refinement are both on
+    Euler-Maclaurin, whose floor ~1e-13 certifies a 1e-9 ordinate (the
+    Riemann-Siegel noise ~1e-8 could not). abs_error is the final bracket's
+    width plus the larger evaluation bound at the Gram bracket's two ends over
+    the secant slope; the Euler-Maclaurin bound rises with t, so that covers
+    every point refined in between. Gram's law gives an odd number of zeros in
+    each Gram interval, not one: multiplicity = 1 is assumed, not proven.
     """
     if not (0.0 <= t_min < t_max):
         raise ValueError("need 0 <= t_min < t_max")
     if t_max > VALIDATED_T_MAX:  # before the Gram points, whose count grows with t_max
         raise _range_error(t_max)
-    refine_cfg = refinement_config(t_max)
 
     j, gram = _gram_points(t_max)
     inside = (gram > t_min) & (gram < t_max)
     j, gram = j[inside], gram[inside]
     grid = np.concatenate(([t_min], gram, [t_max]))
-    zeta, bounds = zeta_critical_many(grid, refine_cfg)
+    zeta, bounds = zeta_critical_many(grid)
     values = rotate_to_Z(grid, zeta)
     if (bad := (-1.0) ** j * values[1:-1] <= 0.0).any():
         k = bad.argmax()
         raise AccuracyError(
             f"Gram's law fails at g_{j[k]} = {gram[k]:.6f}: Z(g_{j[k]}) = {values[k + 1]:.3g}"
         )
-    z = partial(riemann_siegel_Z, cfg=refine_cfg)
     zeros: list[ZetaZero] = []
     for i in _sign_changes(values)[0]:
-        root, _, width, slope = refine_root(z, grid[i], values[i], grid[i + 1], values[i + 1])
+        root, _, width, slope = refine_root(
+            riemann_siegel_Z, grid[i], values[i], grid[i + 1], values[i + 1]
+        )
         zeros.append(ZetaZero(root, 1, float(width + max(bounds[i], bounds[i + 1]) / slope)))
     return zeros
 
@@ -566,23 +551,17 @@ _JET_HALF_WIDTH = 6  # 13-point stencil, accuracy order >= 8 for orders <= 4
 def zeta_jet(t0: float, order: int) -> list[complex]:
     """[zeta(s0), zeta'(s0), ..., zeta^(order)(s0)] at s0 = 1/2 + i t0.
 
-    Central finite differences along the t-axis, converted to s-derivatives
-    with d/ds = -i d/dt per order.
+    Central finite differences along the t-axis on 13 samples (1 at order 0)
+    from one zeta_critical_many call, whose centre node is t0 itself,
+    converted to s-derivatives with d/ds = -i d/dt per order.
     """
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
-    value = zeta_critical(t0)
-    if order == 0:
-        return [value]
-    offsets = np.arange(-_JET_HALF_WIDTH, _JET_HALF_WIDTH + 1, dtype=np.float64)
-    nodes = t0 + offsets * _JET_STEP
-    weights = finite_difference_weights(t0, nodes, order)
-    samples = np.array([zeta_critical(t) for t in nodes])
-    jets = [value]
-    for k in range(1, order + 1):
-        dt_k = complex(np.sum(weights[k] * samples))
-        jets.append((-1j) ** k * dt_k)
-    return jets
+    half = _JET_HALF_WIDTH if order else 0
+    nodes = t0 + np.arange(-half, half + 1, dtype=np.float64) * _JET_STEP
+    samples = zeta_critical_many(nodes)[0]
+    weights = finite_difference_weights(t0, nodes, order)  # row 0: 1 at t0, exactly 0 elsewhere
+    return [(-1j) ** k * complex(np.sum(weights[k] * samples)) for k in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +601,8 @@ def read_zero_cache(path: str | Path) -> list[ZetaZero]:
         if header != ["ordinate", "multiplicity", "abs_error"]:
             raise ValueError(f"unexpected zero-cache header in {path}: {header}")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"zero cache {path}, line {reader.line_num}: expected 3 fields")
             zeros.append(ZetaZero(float(row[0]), int(row[1]), float(row[2])))
     ordinates = [z.ordinate for z in zeros]
     if ordinates != sorted(ordinates) or len(set(ordinates)) != len(ordinates):

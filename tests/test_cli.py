@@ -191,6 +191,29 @@ class TestCacheGate:
         assert run("--t-max", "40", "laplacian") == cli.EXIT_USAGE
         assert "rerun" in capsys.readouterr().err
 
+    def test_short_row_names_the_file_and_line(self, tmp_path, capsys):
+        seed_cache(20.0)
+        with open(tmp_path / "zeros.csv", "a") as fh:
+            fh.write("19.5\n")
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "zeros.csv, line 3: expected 3 fields" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sidecar", ['{"t_max": "x"}', "[1]"])
+    def test_unreadable_sidecar_is_unknown_coverage(self, tmp_path, capsys, sidecar):
+        """A sidecar that is not an object with a numeric t_max: the readers
+        exit 2 with one line, and `zeros` recomputes the cache."""
+        seed_cache(20.0)
+        meta_file = tmp_path / "zeros.csv.meta.json"
+        meta_file.write_text(sidecar)
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "zeros.csv.meta.json" in err and err.count("\n") == 1
+        assert run("--t-max", "20", "zeros") == cli.EXIT_OK
+        assert json.loads(meta_file.read_text()) == {"t_max": 20.0, "count": 1}
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report["reused"] is False
+
     def test_past_validated_range_names_the_limit(self, capsys):
         # rerunning `zeros` cannot cover t_max = 300, so the message must not suggest it
         seed_cache(60.0)

@@ -1,25 +1,21 @@
-"""Cycle detection: row scores, scans, coverings, SVD cross-check."""
+"""Cycle detection: row scores, scans, coverings, the complement spectrum."""
 
 import math
 
-import numpy as np
 import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
 from zetacycles import cycles
 from zetacycles.cycles import (
-    DetectionMatrix,
     EmptySpectrumError,
     FamilyDegenerateError,
-    build_matrix,
     complement_spectrum,
     covering_stability,
     detect,
     mode_count,
     scan,
-    svd_dip_score,
 )
-from zetacycles.schwartz import linear_combination, make_test_function, mellin_psi
+from zetacycles.schwartz import linear_combination, make_test_function
 from zetacycles.specfun import VALIDATED_T_MAX, find_zeros, zeta_critical
 
 T1 = ZERO_ORDINATES[0]
@@ -150,16 +146,13 @@ class TestScan:
             scan(0.05, 0.06, 1e-3, family)
 
     def test_profile_is_the_row_score(self, family):
-        # the profile is min |zeta| over the rows; the detection matrix must agree
+        # the profile is min |zeta| over the rows; detect's row scores must agree
         result = scan(0.3, 1.5, 1e-3, family, t_max=60.0)
         for L, score in result.grid[::40]:
-            matrix = build_matrix(L, family, t_max=60.0)
-            row_scores = []
-            for n in range(1, matrix.N + 1):
-                s = 2.0 * math.pi * n / L
-                if s <= 60.0:
-                    psi_max = max(abs(mellin_psi(f, s).psi) for f in family)
-                    row_scores.append(math.sqrt(L) * np.max(np.abs(matrix.row(n))) / psi_max)
+            zeta_scores = detect(L, family, 60.0).zeta_scores
+            row_scores = [
+                v for n, v in zeta_scores.items() if n >= 1 and 2.0 * math.pi * n / L <= 60.0
+            ]
             assert abs(score - min(row_scores)) <= 1e-14 * score, L
 
     @pytest.mark.parametrize("cells", [1, 40])
@@ -223,29 +216,6 @@ class TestComplementSpectrum:
         report = detect(0.41, family, t_max=20.0, zeros=zeros20)
         with pytest.raises(EmptySpectrumError):
             complement_spectrum(report)
-
-
-class TestMatrix:
-    def test_shape_and_row_indexing(self, family):
-        matrix = build_matrix(0.5, family, t_max=20.0)
-        n = mode_count(0.5, 20.0)
-        assert matrix.N == n
-        assert matrix.entries.shape == (2 * n + 1, 3)
-        assert np.array_equal(matrix.row(-n), matrix.entries[0])
-        assert np.array_equal(matrix.row(0), matrix.entries[n])
-
-    def test_svd_dip_separates_matched_length(self, family):
-        at_star = svd_dip_score(build_matrix(L_STAR, family, t_max=20.0))
-        away = svd_dip_score(build_matrix(L_STAR + 0.02, family, t_max=20.0))
-        assert at_star < 0.05 * away
-
-    def test_svd_guards(self):
-        with pytest.raises(ValueError):
-            svd_dip_score(DetectionMatrix(1.0, 65, np.ones((131, 2))))
-        bad = np.ones((3, 2), dtype=complex)
-        bad[:, 1] = 0.0
-        with pytest.raises(ValueError):
-            svd_dip_score(DetectionMatrix(1.0, 1, bad))
 
 
 def test_mode_count_covers_band():

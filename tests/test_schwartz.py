@@ -20,7 +20,6 @@ from zetacycles.schwartz import (
     apply_one_plus_H,
     canonical_vector,
     default_family,
-    family_manifest,
     gaussian_seed,
     linear_combination,
     make_test_function,
@@ -78,12 +77,6 @@ class TestFamilyConstruction:
             make_test_function(9)
         with pytest.raises(ValueError):
             gaussian_seed(-1)
-
-    def test_manifest(self, family):
-        rows = family_manifest(family)
-        assert [r["label"] for r in rows] == ["f0", "f1", "f2"]
-        for r in rows:
-            assert r["psi_closed_form"]
 
     def test_linear_combination_pointwise(self, family):
         combo = linear_combination(family, [1.0, -2.0, 0.5])

@@ -30,7 +30,6 @@ from zetacycles.specfun import (
     log_gamma,
     read_zero_cache,
     refine_root,
-    refinement_config,
     riemann_siegel_Z,
     rotate_to_Z,
     siegel_theta,
@@ -105,16 +104,18 @@ class TestZetaCritical:
             assert abs(left - right) <= 1e-10
 
     @pytest.mark.parametrize("t,expected", list(SIEGEL_Z_SAMPLES.items()))
-    def test_z_frozen_samples(self, t, expected, cfg):
-        assert riemann_siegel_Z(t, cfg) == pytest.approx(expected, abs=1e-6)
+    def test_z_frozen_samples(self, t, expected):
+        assert riemann_siegel_Z(t) == pytest.approx(expected, abs=1e-6)
 
     def test_z_reality(self, cfg):
         # Z is the rotation of zeta onto the real axis; recompute the
-        # rotation directly and bound its imaginary part
+        # rotation directly, on either route, and bound its imaginary part
         for t in (5.0, 30.0, 57.3, 80.0, 99.0, 130.0, 220.0):
-            rotated = np.exp(1j * siegel_theta(t)) * zeta_critical(t, cfg)
-            assert abs(rotated.imag) <= 1e-9
-            assert riemann_siegel_Z(t, cfg) == pytest.approx(rotated.real, abs=1e-9)
+            for policy in (cfg, specfun._EM_POLICY):
+                rotated = np.exp(1j * siegel_theta(t)) * zeta_critical(t, policy)
+                assert abs(rotated.imag) <= 1e-9
+            # Z is on Euler-Maclaurin: the last rotation
+            assert riemann_siegel_Z(t) == pytest.approx(rotated.real, abs=1e-9)
 
     def test_method_overlap_band(self):
         # force each path by moving the switch point across the band
@@ -265,9 +266,9 @@ class TestBlockEvaluation:
 
     @staticmethod
     def em_points():
-        lifted = refinement_config(250.0).rs_threshold
+        top = VALIDATED_T_MAX
         return np.concatenate(
-            [np.linspace(0.0, 99.9, 700), np.linspace(lifted - 1.0, lifted, 50, endpoint=False)]
+            [np.linspace(0.0, 99.9, 700), np.linspace(top - 1.0, top, 50, endpoint=False)]
         )
 
     def test_block_matches_points(self):
@@ -281,86 +282,84 @@ class TestBlockEvaluation:
                 assert abs(bound - b1) <= 1e-15 * b1, x
 
     @staticmethod
-    def z_many(t, cfg):
-        zeta, bounds = zeta_critical_many(t, cfg)
+    def z_many(t):
+        zeta, bounds = zeta_critical_many(t)
         return rotate_to_Z(t, zeta), bounds
 
     def test_z_grid_matches_points(self):
-        rcfg = refinement_config(250.0)
         t = self.em_points()
-        values, _ = self.z_many(t, rcfg)
+        values, _ = self.z_many(t)
         for x, value in zip(t, values):
-            z1 = riemann_siegel_Z(float(x), rcfg)
+            z1 = riemann_siegel_Z(float(x))
             assert abs(value - z1) <= 1e-15 * abs(z1), x
 
     def test_points_at_threshold_take_riemann_siegel(self, cfg):
-        t = np.array([90.0, 99.5, cfg.rs_threshold, 130.0])
-        values, bounds = self.z_many(t, cfg)
-        for x, value in zip(t, values):
-            assert value == pytest.approx(riemann_siegel_Z(float(x), cfg), rel=1e-15)
-        for x, bound in zip(t[2:], bounds[2:]):
-            assert bound == specfun._riemann_siegel_raw(float(x))[1]
-        # scalar Z above the threshold is the same dispatch, rotated back
-        for x in (100.0, 130.0, 259.0):
-            raw = specfun._riemann_siegel_raw(x)[0]
-            assert riemann_siegel_Z(x) == pytest.approx(raw, rel=1e-15, abs=0.0)
+        """Only scalar zeta_critical takes Riemann-Siegel at and above
+        cfg.rs_threshold; the block and scalar Z stay on Euler-Maclaurin."""
+        t = np.array([90.0, 99.5, cfg.rs_threshold, 130.0, 259.0])
+        values, bounds = self.z_many(t)
+        for x, value, bound in zip(t, values, bounds):
+            assert value == pytest.approx(riemann_siegel_Z(float(x)), rel=1e-15)
+            assert bound == pytest.approx(specfun._zeta_euler_maclaurin(float(x))[1], rel=1e-15)
+        for x in t[2:]:
+            rotated = np.exp(1j * siegel_theta(x)) * zeta_critical(float(x), cfg)
+            z_rs = specfun._riemann_siegel_raw(float(x))[0]
+            assert rotated.real == pytest.approx(z_rs, rel=1e-15, abs=0.0)
 
-    def test_guards_raise_on_block(self, cfg, monkeypatch):
+    def test_guards_raise_on_block(self, monkeypatch):
         with pytest.raises(AccuracyError, match="validated range"):
-            self.z_many(np.array([250.0, VALIDATED_T_MAX + 1.0]), cfg)
-        tight = EvalConfig(target_abs_error=1e-14)
-        with pytest.raises(AccuracyError, match="certified error"):
-            self.z_many(np.linspace(1.0, 50.0, 10), tight)
-        with pytest.raises(AccuracyError, match="certified error"):
-            riemann_siegel_Z(1.0, tight)
-        # the Riemann-Siegel points keep their own bound check
-        rs_tight = EvalConfig(target_abs_error=1e-10)
-        self.z_many(np.array([50.0, 99.0]), rs_tight)
-        with pytest.raises(AccuracyError, match="certified error"):
-            self.z_many(np.array([50.0, 150.0]), rs_tight)
+            self.z_many(np.array([250.0, VALIDATED_T_MAX + 1.0]))
+        with pytest.raises(AccuracyError, match="validated range"):
+            riemann_siegel_Z(VALIDATED_T_MAX + 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_EM_POLICY", EvalConfig(math.inf, target_abs_error=1e-14))
+            with pytest.raises(AccuracyError, match="certified error"):
+                self.z_many(np.linspace(1.0, 50.0, 10))
+            with pytest.raises(AccuracyError, match="certified error"):
+                riemann_siegel_Z(1.0)
         exact_theta = specfun.siegel_theta
         monkeypatch.setattr(specfun, "siegel_theta", lambda t: exact_theta(t) + 1e-3)
         with pytest.raises(AccuracyError, match="rotation residual"):
-            self.z_many(np.linspace(10.0, 20.0, 5), cfg)
+            self.z_many(np.linspace(10.0, 20.0, 5))
         with pytest.raises(AccuracyError, match="rotation residual"):
-            riemann_siegel_Z(10.0, cfg)
+            riemann_siegel_Z(10.0)
 
 
 class TestZetaCriticalMany:
     """The array evaluator against scalar zeta_critical, and its guards."""
 
-    def test_matches_scalar(self, cfg):
+    def test_matches_scalar(self):
+        """Against scalar zeta_critical on the same Euler-Maclaurin route, on
+        both sides of the scalar default's Riemann-Siegel threshold."""
+        em = specfun._EM_POLICY
         rng = np.random.default_rng(7)
         t = np.concatenate([rng.uniform(-259.0, 259.0, 400), [0.0, 99.9, -100.0, 100.0]])
-        assert (np.abs(t) < cfg.rs_threshold).sum() > 100
-        assert (np.abs(t) >= cfg.rs_threshold).sum() > 100
-        many, bounds = zeta_critical_many(t, cfg)
+        assert (np.abs(t) < EvalConfig().rs_threshold).sum() > 100
+        assert (np.abs(t) >= EvalConfig().rs_threshold).sum() > 100
+        many, bounds = zeta_critical_many(t)
         for x, value, bound in zip(t, many, bounds):
-            one = zeta_critical(float(x), cfg)
+            one = zeta_critical(float(x), em)
             assert abs(value - one) <= 1e-15 * abs(one), x
-            assert 0.0 < bound <= cfg.target_abs_error
-            if abs(x) >= cfg.rs_threshold:
-                assert bound == specfun._riemann_siegel_raw(abs(float(x)))[1]
+            assert 0.0 < bound <= em.target_abs_error
+            em_bound = specfun._zeta_euler_maclaurin(abs(float(x)))[1]
+            assert bound == pytest.approx(em_bound, rel=1e-15)
 
-    def test_empty(self, cfg):
-        values, bounds = zeta_critical_many(np.array([]), cfg)
+    def test_empty(self):
+        values, bounds = zeta_critical_many(np.array([]))
         assert values.shape == bounds.shape == (0,)
 
-    def test_guards_raise_on_block(self, cfg):
+    def test_guards_raise_on_block(self, monkeypatch):
         with pytest.raises(ValueError, match="finite"):
-            zeta_critical_many(np.array([1.0, np.nan]), cfg)
+            zeta_critical_many(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="finite"):
-            zeta_critical_many(np.array([-np.inf, 1.0]), cfg)
+            zeta_critical_many(np.array([-np.inf, 1.0]))
         with pytest.raises(AccuracyError, match="validated range"):
-            zeta_critical_many(np.array([10.0, -(VALIDATED_T_MAX + 1.0)]), cfg)
-        tight = EvalConfig(target_abs_error=1e-14)
+            zeta_critical_many(np.array([10.0, -(VALIDATED_T_MAX + 1.0)]))
+        monkeypatch.setattr(specfun, "_EM_POLICY", EvalConfig(math.inf, target_abs_error=1e-14))
         with pytest.raises(AccuracyError, match="certified error"):
-            zeta_critical_many(np.linspace(1.0, 50.0, 10), tight)
-        # the Riemann-Siegel points keep their own bound check
-        rs_tight = EvalConfig(target_abs_error=1e-10)
-        zeta_critical_many(np.array([50.0, -99.0]), rs_tight)
+            zeta_critical_many(np.linspace(1.0, 50.0, 10))
         with pytest.raises(AccuracyError, match="certified error"):
-            zeta_critical_many(np.array([50.0, -150.0]), rs_tight)
+            zeta_critical_many(np.array([-50.0, 150.0]))
 
 
 class TestRefineRoot:
@@ -382,16 +381,13 @@ class TestRefineRoot:
     def test_z_brackets_of_the_zero_grid(self):
         """The Gram-point brackets that find_zeros refines, about 40 times
         wider than a 0.04 grid's."""
-        rcfg = refinement_config(250.0)
         gram = specfun._gram_points(250.0)[1]
         grid = np.concatenate(([0.0], gram, [250.0]))
-        values = rotate_to_Z(grid, zeta_critical_many(grid, rcfg)[0])
+        values = rotate_to_Z(grid, zeta_critical_many(grid)[0])
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
         assert brackets.size == 108
         for i in brackets[::3]:
-            self.agree_with_brentq(
-                lambda x: riemann_siegel_Z(x, rcfg), float(grid[i]), float(grid[i + 1])
-            )
+            self.agree_with_brentq(riemann_siegel_Z, float(grid[i]), float(grid[i + 1]))
 
     def test_sign_changes(self):
         """A point on a zero goes to the bracket that ends there; NaN brackets
@@ -458,9 +454,49 @@ class TestJets:
         for k, (g, e) in enumerate(zip(got, expected)):
             assert abs(g - e) <= budgets[k], f"order {k} at t0={t0}"
 
+    @pytest.mark.parametrize("t0", [120.0, 180.0, 250.0])
+    def test_jets_above_100_against_mpmath(self, t0):
+        """The 13 samples are on Euler-Maclaurin above 100 too. Budgets are
+        relative to max(1, |zeta^(k)|), at least 3x the worst error over
+        t0 in [100, 259.8]: 3.0e-13, 4.4e-12, 1.6e-10, 7.3e-10, 4.1e-8."""
+        mpmath = pytest.importorskip("mpmath")
+        got = zeta_jet(t0, order=4)
+        budgets = [1e-12, 2e-11, 5e-10, 3e-9, 2e-7]
+        with mpmath.workdps(30):
+            s0 = mpmath.mpc(0.5, t0)
+            exact = [complex(mpmath.zeta(s0, derivative=k)) for k in range(5)]
+        for k, (g, e) in enumerate(zip(got, exact)):
+            assert abs(g - e) <= budgets[k] * max(1.0, abs(e)), f"order {k} at t0={t0}"
+
+    def test_order_zero_is_the_centre_sample(self):
+        (value,) = zeta_jet(33.0, order=0)
+        assert value == zeta_jet(33.0, order=4)[0] == zeta_critical_many([33.0])[0][0]
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             zeta_jet(25.0, order=5)
+
+
+def test_riemann_siegel_only_behind_scalar_zeta_critical(family, monkeypatch):
+    """Arrays, Z, zeros, scans, closed Fourier rows and jets run on
+    Euler-Maclaurin up to VALIDATED_T_MAX; only scalar zeta_critical reaches
+    Riemann-Siegel, at and above its threshold."""
+    from zetacycles.cycles import scan
+    from zetacycles.operators import fourier_closed
+
+    def no_riemann_siegel(t):
+        raise RuntimeError(f"Riemann-Siegel reached at t = {t}")
+
+    monkeypatch.setattr(specfun, "_riemann_siegel_raw", no_riemann_siegel)
+    zeta_critical_many(np.linspace(-260.0, 260.0, 2001))
+    riemann_siegel_Z(259.0)
+    assert len(find_zeros(0.0, 260.0)) == 114
+    assert len(scan(0.40, 0.43, 1e-3, family, t_max=250.0).dips) == 72
+    fourier_closed(family[0], 0.8, 32)
+    zeta_jet(250.0, 4)
+    zeta_critical(99.0)
+    with pytest.raises(RuntimeError, match="Riemann-Siegel reached"):
+        zeta_critical(150.0)
 
 
 @settings(max_examples=60, deadline=None)
