@@ -331,7 +331,7 @@ def cmd_jets(cfg: RunConfig, section_path: str) -> int:
     if not path.exists():
         raise MissingCacheError(f"section file {path} not found")
     zeros = load_zeros(cfg)
-    section = sheaf.section_from_payload(json.loads(path.read_text()))
+    section = sheaf.read_section(path)
     jets = sheaf.quotient_jets(section, zeros)
     out_dir.mkdir(parents=True, exist_ok=True)
     sheaf.write_jet_csv(out_dir / "jets.csv", jets)

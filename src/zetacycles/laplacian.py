@@ -105,12 +105,9 @@ def negativity_rows(zeros: list[ZetaZero]) -> list[tuple[float, float, bool]]:
     return rows
 
 
-def _segment_or_axis(rho: complex) -> bool:
-    # reference membership test, kept separate from the predicate algebra
+def direct_membership(rho: complex) -> bool:
+    """rho on [0, 1] or on the critical line: the reference membership test,
+    kept separate from the predicate algebra so callers can cross-check it."""
     if rho.imag == 0.0:
         return 0.0 <= rho.real <= 1.0
     return rho.real == 0.5
-
-
-# re-exported so callers can cross-check without reimplementing it
-direct_membership = _segment_or_axis

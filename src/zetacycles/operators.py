@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schwartz import RepresentationError, TestFunction, _decay_certificate, mellin_psi_many
+from .schwartz import TestFunction, _decay_certificate, mellin_psi_many
 from .specfun import zeta_critical_many
 
 __all__ = [
@@ -173,14 +173,12 @@ def fourier_closed(f: TestFunction, L: float, N: int) -> CircleFunction:
 
 def _fourier_coeffs_of(f: TestFunction) -> tuple[np.ndarray, float]:
     """Polynomial coefficients (all parities) of the Fourier transform of f
-    against exp(-pi y^2), valid only for gauss_scale = pi (self-dual kernel),
-    and the sum of the |terms| that make up the constant one, fh(0).
+    against exp(-pi y^2), the self-dual kernel that f's Gaussian is, and the
+    sum of the |terms| that make up the constant one, fh(0).
 
     Multiplication by x^2 conjugates to -(1/4 pi^2) d^2/dy^2, applied per
     power of x^2 to the transformed Gaussian.
     """
-    if abs(f.gauss_scale - math.pi) > 1e-15:
-        raise RepresentationError("direct transform requires the unit Gaussian scale")
 
     def differentiate(poly: list[float]) -> list[float]:
         out = [0.0] * (len(poly) + 1)
@@ -276,7 +274,7 @@ def fourier_direct(
                          f"{fhat[0]:.3g}); its periodization diverges")
     fhat[0] = 0.0
     hi = _gauss_edge(*f.decay)
-    lo = -_gauss_edge(*_decay_certificate(tuple(fhat[::2]), math.pi))  # fh is even
+    lo = -_gauss_edge(*_decay_certificate(tuple(fhat[::2])))  # fh is even
     if (origin := abs(float(f(0.0)))) > 0.0:
         lo = min(lo, 2.0 * math.log(2.0 * _DROP_TOL * -math.expm1(-0.5 * L) / origin))
     x = (np.arange(grid, dtype=np.float64) * L) / grid

@@ -212,10 +212,6 @@ def section_from_payload(payload: dict) -> GlobalSection:
     return GlobalSection(grid, plus, minus, order)
 
 
-def write_section(path: str | Path, section: GlobalSection) -> None:
-    Path(path).write_text(json.dumps(section_to_payload(section), indent=1))
-
-
 def read_section(path: str | Path) -> GlobalSection:
     return section_from_payload(json.loads(Path(path).read_text()))
 
@@ -412,10 +408,6 @@ class JetVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def max_abs(self) -> float:
-        vals = [abs(v) for e in self.entries for v in e.jets_plus + e.jets_minus]
-        return max(vals) if vals else 0.0
 
 
 def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> JetVector:

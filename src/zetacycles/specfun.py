@@ -601,9 +601,12 @@ def read_zero_cache(path: str | Path) -> list[ZetaZero]:
         if header != ["ordinate", "multiplicity", "abs_error"]:
             raise ValueError(f"unexpected zero-cache header in {path}: {header}")
         for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"zero cache {path}, line {reader.line_num}: expected 3 fields")
-            zeros.append(ZetaZero(float(row[0]), int(row[1]), float(row[2])))
+            try:
+                if len(row) != 3:
+                    raise ValueError("expected 3 fields")
+                zeros.append(ZetaZero(float(row[0]), int(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise ValueError(f"zero cache {path}, line {reader.line_num}: {exc}") from exc
     ordinates = [z.ordinate for z in zeros]
     if ordinates != sorted(ordinates) or len(set(ordinates)) != len(ordinates):
         raise ValueError(f"zero cache {path} is not strictly increasing")

@@ -199,6 +199,18 @@ class TestCacheGate:
         err = capsys.readouterr().err
         assert "zeros.csv, line 3: expected 3 fields" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("row,reason", [
+        ("x,1,1e-9", "could not convert string to float: 'x'"),
+        ("30.0,0,1e-9", "multiplicity must be a positive integer"),
+    ], ids=["non_numeric", "zero_multiplicity"])
+    def test_malformed_row_names_the_file_and_line(self, tmp_path, capsys, row, reason):
+        seed_cache(20.0)
+        with open(tmp_path / "zeros.csv", "a") as fh:
+            fh.write(row + "\n")
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"zeros.csv, line 3: {reason}" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("sidecar", ['{"t_max": "x"}', "[1]"])
     def test_unreadable_sidecar_is_unknown_coverage(self, tmp_path, capsys, sidecar):
         """A sidecar that is not an object with a numeric t_max: the readers

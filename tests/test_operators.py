@@ -61,7 +61,7 @@ class TestEvalE:
         """
         for f in family + [canonical]:
             S = sum(
-                abs(c) * math.gamma(j + 0.5) / f.gauss_scale ** (j + 0.5)
+                abs(c) * math.gamma(j + 0.5) / math.pi ** (j + 0.5)
                 for j, c in enumerate(f.coeffs)
             )
             C = abs(eval_E(f, 1e-2, 1e-13)[0]) / math.sqrt(1e-2)

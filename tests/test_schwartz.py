@@ -1,5 +1,6 @@
 """Test-function family, symbolic operator actions, Mellin transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,8 @@ class TestFamilyConstruction:
         for k in range(4):
             g = gaussian_seed(k)
             assert g.coeffs == (0.0,) * k + (1.0,)
-            assert g.gauss_scale == math.pi
+            # the Gaussian factor is exp(-pi x^2)
+            assert g(0.5) == 0.25**k * np.exp(-math.pi * 0.25)
 
     def test_member_coefficients(self):
         pi = math.pi
@@ -67,7 +69,7 @@ class TestFamilyConstruction:
         # integral of H(1+H)g vanishes identically; check via moments
         for f in default_family() + [canonical_vector()]:
             total = sum(
-                c * gaussian_moment(j, f.gauss_scale)
+                c * gaussian_moment(j, math.pi)
                 for j, c in enumerate(f.coeffs)
             )
             assert abs(total) <= 1e-10
@@ -185,14 +187,21 @@ class TestMellinMany:
             mellin_psi_many(family[0], np.array([1.0, 2.0 - 0.5j]))
         assert mellin_psi_many(family[0], np.array([])).shape == (0,)
 
-    def test_quadrature_without_closed_form(self, family):
-        bare = schwartz.TestFunction(coeffs=family[1].coeffs)
-        assert bare.closed_form_psi is None
+    def test_bare_function_takes_the_closed_form(self, family):
+        # a function built from its coefficients alone has the closed form
+        # on both paths, and it agrees with the independent quadrature
+        bare = schwartz.TestFunction(family[1].coeffs)
         z = np.array([-3.0, 0.0, 1.5, 4.0])
         many = mellin_psi_many(bare, z)
         for x, value in zip(z, many):
-            assert value == mellin_psi(bare, x).psi
-            assert abs(value - mellin_psi(family[1], x).psi) <= 1e-9
+            one = mellin_psi(bare, x)
+            assert value == one.psi == mellin_psi(family[1], x).psi
+            assert one.abs_error == 1e-13 * (1.0 + abs(one.psi))
+            assert abs(value - mellin_psi(bare, x, method="quadrature").psi) <= 1e-9
+
+    def test_unknown_method(self, family):
+        with pytest.raises(ValueError, match="unknown method"):
+            mellin_psi(family[0], 1.0, method="auto")
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,6 +214,18 @@ def test_combination_evaluates_linearly(x, w0, w1):
     f0, f1 = make_test_function(0), make_test_function(1)
     combo = linear_combination([f0, f1], [w0, w1])
     assert combo(x) == pytest.approx(w0 * f0(x) + w1 * f1(x), rel=1e-12, abs=1e-15)
+
+
+def test_replaced_coefficients_carry_their_own_transform_and_decay(family):
+    f0, f1 = family[0], family[1]
+    g = dataclasses.replace(f0, coeffs=f1.coeffs)
+    z = np.array([-6.0, 0.0, 2.0, 7.5])
+    assert np.array_equal(mellin_psi_many(g, z), mellin_psi_many(f1, z))
+    for x in z:
+        psi = mellin_psi(g, x).psi
+        assert psi == mellin_psi(f1, x).psi
+        assert abs(psi - mellin_psi(g, x, method="quadrature").psi) <= 1e-9
+    assert g.decay == f1.decay  # which test_decay_certificate_bounds_samples checks
 
 
 def test_decay_certificate_bounds_samples(family):

@@ -29,7 +29,6 @@ from zetacycles.sheaf import (
     theta_on_sections,
     vanishing_certificate,
     write_jet_csv,
-    write_section,
     zeta_generator,
 )
 from zetacycles.specfun import ZetaZero
@@ -119,7 +118,7 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path, section):
         path = tmp_path / "section.json"
-        write_section(path, section)
+        path.write_text(json.dumps(section_to_payload(section)))
         back = read_section(path)
         assert np.array_equal(back.grid, section.grid)
         assert np.array_equal(back.f_plus, section.f_plus)
@@ -203,7 +202,7 @@ class TestJets:
         )
         jets = quotient_jets(zero, zeros60)
         assert len(jets) == len(zeros60)
-        assert jets.max_abs() == 0.0
+        assert all(v == 0.0 for e in jets for v in e.jets_plus + e.jets_minus)
 
     def test_constant_section_jets(self, section_grid, zeros60):
         ones = np.ones(section_grid.size)
