@@ -44,7 +44,6 @@ from .schwartz import (
 from .sheaf import (
     GlobalSection,
     IdealGenerator,
-    JetVector,
     gamma_inverse,
     ideal_membership,
     jordan_structure,
@@ -70,7 +69,6 @@ __all__ = [
     "EvalConfig",
     "GlobalSection",
     "IdealGenerator",
-    "JetVector",
     "QuotientEigenvalue",
     "ScanResult",
     "TestFunction",

@@ -2,10 +2,12 @@
 lengths where a row's Z changes sign, covering stability, and the complement
 spectrum.
 
-A circle length L is flagged when some Fourier row of the detection matrix
-collapses; because every entry c_n(f_j) factors as L^(-1/2) zeta(1/2 - i s_n)
-times a Mellin factor, the row score rescaled by L^(1/2) is exactly |zeta| at
-the row frequency, which is what the tolerance is quoted against.
+A circle length L is flagged when some Fourier row collapses. Every entry
+c_n(f_j) factors as L^(-1/2) zeta(1/2 - i s_n) times a Mellin factor psi_j(s_n),
+so a row collapses exactly when zeta does, and its score is |zeta| at the row
+frequency s_n = 2 pi n / L, which is what the tolerance is quoted against. The
+rows are the modes |n| <= floor(L t_max / 2 pi); psi is evaluated only to
+reject a family whose factors all vanish at some row frequency.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ class MatchedZero:
 @dataclass(frozen=True)
 class CycleReport:
     L: float
-    row_scores: dict[int, float]
     zeta_scores: dict[int, float]
     flagged: list[int]
     matched_zeros: list[MatchedZero]
@@ -99,32 +100,26 @@ class ScanResult:
 
 
 def mode_count(L: float, t_max: float) -> int:
-    """Modes covering (0, t_max] at frequencies 2 pi n / L, plus up to 8 padding
-    rows as far as they stay within the validated range."""
-    covering = math.floor(L * t_max / _TWO_PI)
-    padded = math.ceil(L * t_max / _TWO_PI) + 8
-    return max(covering, min(padded, math.floor(L * VALIDATED_T_MAX / _TWO_PI)))
+    """The largest mode N with row frequency 2 pi N / L <= t_max, that frequency
+    computed as scan computes it: floor(L t_max / 2 pi), off by one where the
+    rounding of either side crosses an integer."""
+    n = math.floor(L * t_max / _TWO_PI)
+    return next(m for m in (n + 1, n, n - 1) if _TWO_PI * m / L <= t_max)
 
 
-def _row_data(
-    L: float, family: list[TestFunction], t_max: float
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """The mode count N, and the row scores max_j |c_n(f_j)| / max_j |psi_j|
-    with their zeta-scale form L^(1/2) times that, for all |n| <= N."""
+def _row_data(L: float, family: list[TestFunction], t_max: float) -> tuple[int, list[float]]:
+    """The mode count N, and the row scores |zeta(1/2 + 2 pi i n / L)| for all
+    |n| <= N; the family's Mellin factors are checked against _PSI_FLOOR."""
     n_modes = mode_count(L, t_max)
-    raw = np.zeros(2 * n_modes + 1)
-    scale = L ** -0.5
-    for i, n in enumerate(range(-n_modes, n_modes + 1)):
+    scores = []
+    for n in range(-n_modes, n_modes + 1):
         s = _TWO_PI * n / L
-        zeta_factor = zeta_critical(-s)
-        psi_vals = np.array([mellin_psi(f, s).psi for f in family])
-        psi_max = float(np.max(np.abs(psi_vals)))
-        if psi_max < _PSI_FLOOR:
+        scores.append(abs(zeta_critical(-s)))
+        if max(abs(mellin_psi(f, s).psi) for f in family) < _PSI_FLOOR:
             raise FamilyDegenerateError(
                 f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s:.6g}"
             )
-        raw[i] = np.max(np.abs(scale * zeta_factor * psi_vals)) / psi_max
-    return n_modes, raw, raw * math.sqrt(L)
+    return n_modes, scores
 
 
 def _nearest_zero(s: float, zeros: list[ZetaZero]) -> tuple[ZetaZero | None, float]:
@@ -143,8 +138,8 @@ def detect(
 ) -> CycleReport:
     """Decide whether the circle of length L hosts a collapsed row.
 
-    The verdict considers rows with n != 0 and frequency |2 pi n / L| within
-    (0, t_max]; the tolerance applies to the zeta-scale score L^(1/2) r_n.
+    The rows are the modes n != 0 with frequency |2 pi n / L| <= t_max; a row
+    is flagged when its score |zeta(1/2 + 2 pi i n / L)| is below tol.
     """
     if L <= 0.0:
         raise ValueError("circle length L must be positive")
@@ -152,14 +147,11 @@ def detect(
         raise ValueError("family must be nonempty")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n_modes, raw, zscores = _row_data(L, family, t_max)
-    modes = range(-n_modes, n_modes + 1)
-    row_scores = dict(zip(modes, raw.tolist()))
-    zeta_scores = dict(zip(modes, zscores.tolist()))
-    flagged = [
-        n for n, score in zeta_scores.items()
-        if n != 0 and abs(_TWO_PI * n / L) <= t_max and score < tol
-    ]
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
+    n_modes, scores = _row_data(L, family, t_max)
+    zeta_scores = dict(zip(range(-n_modes, n_modes + 1), scores))
+    flagged = [n for n, score in zeta_scores.items() if n != 0 and score < tol]
     if flagged and zeros is None:
         zeros = find_zeros(0.0, t_max)
     matched = []
@@ -169,7 +161,6 @@ def detect(
         matched.append(MatchedZero(n, s, zero, dist))
     return CycleReport(
         L=L,
-        row_scores=row_scores,
         zeta_scores=zeta_scores,
         flagged=flagged,
         matched_zeros=matched,

@@ -27,7 +27,6 @@ __all__ = [
     "GlobalSection",
     "IdealGenerator",
     "JetEntry",
-    "JetVector",
     "JetWitness",
     "JordanReport",
     "SampledFunction",
@@ -36,7 +35,6 @@ __all__ = [
     "circle_at",
     "gamma_inverse",
     "ideal_membership",
-    "jets_to_rows",
     "jordan_structure",
     "make_section",
     "quotient_jets",
@@ -84,18 +82,6 @@ class SampledFunction:
         if vals.shape != self.grid.shape:
             raise ValueError("values must match the grid shape")
         object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        from scipy.interpolate import CubicSpline  # loaded on first use: ~20 MB resident
-        return CubicSpline(self.grid, self.values)
-
-    def __call__(self, L: float) -> complex:
-        if L < self.grid[0] * (1.0 - 1e-12) or L > self.grid[-1] * (1.0 + 1e-12):
-            raise UnderResolvedGridError(
-                f"point {L} outside sampled range [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        return complex(self._spline(L))
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,18 +385,7 @@ class JetEntry:
             raise ValueError("jet slots must be nonempty and equally long")
 
 
-@dataclass(frozen=True)
-class JetVector:
-    entries: tuple[JetEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> JetVector:
+def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> tuple[JetEntry, ...]:
     """Jets of both slots at each L_k = 2 pi / t_k, through order mult - 1.
 
     This is the class of the section in the quotient by the closed ideal:
@@ -424,26 +399,19 @@ def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> JetVecto
         jp = tuple(_jet(section.grid, section.f_plus, L_k, order))
         jm = tuple(_jet(section.grid, section.f_minus, L_k, order))
         entries.append(JetEntry(z.ordinate, L_k, jp, jm))
-    return JetVector(tuple(entries))
+    return tuple(entries)
 
 
-def jets_to_rows(jets: JetVector) -> list[tuple[float, float, str, int, float, float]]:
-    rows = []
-    for e in jets.entries:
-        for slot, values in (("plus", e.jets_plus), ("minus", e.jets_minus)):
-            for order, v in enumerate(values):
-                rows.append((e.ordinate, e.location, slot, order, v.real, v.imag))
-    return rows
-
-
-def write_jet_csv(path: str | Path, jets: JetVector) -> None:
+def write_jet_csv(path: str | Path, jets: Sequence[JetEntry]) -> None:
+    """One row per entry, slot and order: t_k, L_k, slot, order, jet_re, jet_im."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_k", "L_k", "slot", "order", "jet_re", "jet_im"])
-        for t_k, L_k, slot, order, re, im in jets_to_rows(jets):
-            writer.writerow(
-                [f"{t_k:.14f}", f"{L_k:.14f}", slot, order, f"{re:.16e}", f"{im:.16e}"]
-            )
+        for e in jets:
+            for slot, values in (("plus", e.jets_plus), ("minus", e.jets_minus)):
+                for order, v in enumerate(values):
+                    writer.writerow([f"{e.ordinate:.14f}", f"{e.location:.14f}", slot,
+                                     order, f"{v.real:.16e}", f"{v.imag:.16e}"])
 
 
 def vanishing_certificate(section: GlobalSection) -> tuple[float, bool]:

@@ -96,12 +96,12 @@ class ZetaZero:
     abs_error: float
 
     def __post_init__(self) -> None:
-        if not self.ordinate > 0.0:
-            raise ValueError("ordinate must be positive")
+        if not 0.0 < self.ordinate < math.inf:
+            raise ValueError("ordinate must be positive and finite")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
-        if self.abs_error < 0.0:
-            raise ValueError("abs_error must be nonnegative")
+        if not 0.0 <= self.abs_error < math.inf:
+            raise ValueError("abs_error must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------

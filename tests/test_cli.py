@@ -202,7 +202,9 @@ class TestCacheGate:
     @pytest.mark.parametrize("row,reason", [
         ("x,1,1e-9", "could not convert string to float: 'x'"),
         ("30.0,0,1e-9", "multiplicity must be a positive integer"),
-    ], ids=["non_numeric", "zero_multiplicity"])
+        ("inf,1,1e-9", "ordinate must be positive and finite"),
+        ("30.0,1,nan", "abs_error must be nonnegative and finite"),
+    ], ids=["non_numeric", "zero_multiplicity", "infinite_ordinate", "nan_abs_error"])
     def test_malformed_row_names_the_file_and_line(self, tmp_path, capsys, row, reason):
         seed_cache(20.0)
         with open(tmp_path / "zeros.csv", "a") as fh:

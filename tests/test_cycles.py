@@ -70,12 +70,11 @@ class TestDetect:
         assert report.matched_zeros == []
 
     def test_zeta_score_identity(self, family, cfg, zeros20):
-        # L^(1/2) r_n must equal |zeta(1/2 + 2 pi i n / L)| for every row.
+        # every row's score is |zeta(1/2 + 2 pi i n / L)|, the value scan profiles
         for L in (0.7, L_STAR):
             report = detect(L, family, t_max=20.0, zeros=zeros20)
             for n, score in report.zeta_scores.items():
-                target = abs(zeta_critical(-2.0 * math.pi * n / L, cfg))
-                assert abs(score - target) <= 1e-10 * (1.0 + target)
+                assert score == abs(zeta_critical(-2.0 * math.pi * n / L, cfg))
 
     def test_verdict_independent_of_family(self, family, zeros20):
         f3 = make_test_function(3)
@@ -93,15 +92,18 @@ class TestDetect:
             detect(1.0, [])
         with pytest.raises(ValueError):
             detect(1.0, family, tol=0.0)
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            detect(1.0, family, t_max=-1.0)
 
     def test_short_length_returns_verdict(self, family):
-        # padding rows used to reach t = 289 here and raise AccuracyError
+        # the rows stop at t_max: a short circle has few of them, all validated
         report = detect(0.2, family)
         assert not report.verdict
-        assert max(abs(2.0 * math.pi * n / 0.2) for n in report.zeta_scores) <= VALIDATED_T_MAX
+        assert max(abs(2.0 * math.pi * n / 0.2) for n in report.zeta_scores) <= report.t_max
 
     def test_degenerate_family_rejected(self, family):
-        faint = linear_combination([family[0]], [1e-220])
+        # the floor fails inside the band, at the row n = -9 (s = -56.55)
+        faint = linear_combination([family[0]], [1e-240])
         with pytest.raises(FamilyDegenerateError):
             detect(1.0, [faint], t_max=60.0)
 
@@ -219,10 +221,13 @@ class TestComplementSpectrum:
 
 
 def test_mode_count_covers_band():
-    for L in (0.3, 0.7, 1.4):
-        n = mode_count(L, 60.0)
-        assert 2.0 * math.pi * n / L > 60.0
-        assert 2.0 * math.pi * (n - 9) / L <= 60.0
+    """N is the last mode at or below t_max, with the frequency computed as scan
+    computes it, also at lengths L = 2 pi m / t_max where rounding decides."""
+    for t_max in (20.0, 60.0, 250.0):
+        lengths = [0.3, 0.7, 1.4] + [2.0 * math.pi * m / t_max for m in (11, 15, 61)]
+        for L in lengths:
+            n = mode_count(L, t_max)
+            assert 2.0 * math.pi * n / L <= t_max < 2.0 * math.pi * (n + 1) / L, (L, t_max)
 
 
 def test_mode_count_padding_stays_validated():

@@ -18,7 +18,6 @@ from zetacycles.sheaf import (
     circle_at,
     gamma_inverse,
     ideal_membership,
-    jets_to_rows,
     jordan_structure,
     make_section,
     quotient_jets,
@@ -222,7 +221,7 @@ class TestJets:
             return 1.0 + 0.5 * d + (2.0 + 0.25j) * d * d + d**3
 
         sec = make_section(poly, poly, section_grid)
-        entry = quotient_jets(sec, [fake]).entries[0]
+        entry = quotient_jets(sec, [fake])[0]
         truth = [1.0, 0.5, 4.0 + 0.5j]
         for j, budget in enumerate((1e-13, 1e-11, 1e-10)):
             assert abs(entry.jets_plus[j] - truth[j]) <= budget
@@ -242,16 +241,18 @@ class TestJets:
 
     def test_csv_rows_and_header(self, tmp_path, section, zeros60):
         jets = quotient_jets(section, zeros60)
-        rows = jets_to_rows(jets)
-        assert len(rows) == 2 * len(zeros60)
+        assert len(jets) == len(zeros60)
         path = tmp_path / "jets.csv"
         write_jet_csv(path, jets)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t_k,L_k,slot,order,jet_re,jet_im"
-        assert len(lines) == 1 + len(rows)
-        first = lines[1].split(",")
+        assert len(lines) == 1 + 2 * len(zeros60)
+        first, second = lines[1].split(","), lines[2].split(",")
         assert first[2] == "plus" and first[3] == "0"
-        assert float(first[4]) == pytest.approx(rows[0][4], rel=1e-12)
+        assert second[2] == "minus" and second[3] == "0"
+        assert float(first[0]) == pytest.approx(jets[0].ordinate, rel=1e-14)
+        assert float(first[4]) == pytest.approx(jets[0].jets_plus[0].real, rel=1e-12)
+        assert float(second[5]) == pytest.approx(jets[0].jets_minus[0].imag, rel=1e-12)
 
 
 class TestGenerators:
