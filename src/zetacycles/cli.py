@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -181,19 +181,19 @@ def cmd_zeros(cfg: RunConfig) -> int:
     meta_file = _meta_path(cache)
     covered = _covered_t_max(meta_file)
     reused = cache.exists() and covered is not None and covered >= cfg.t_max
+    zeros = specfun.read_zero_cache(cache) if reused else specfun.find_zeros(0.0, cfg.t_max)
     if not reused:
-        zeros = specfun.find_zeros(0.0, cfg.t_max)
         cache.parent.mkdir(parents=True, exist_ok=True)
         specfun.write_zero_cache(cache, zeros)
         meta = {"t_max": cfg.t_max, "count": len(zeros)}
         with specfun.open_replacing(meta_file) as fh:  # the sidecar last, once the cache is whole
             fh.write(json.dumps(meta, indent=1, sort_keys=True) + "\n")
-    count = len(specfun.read_zero_cache(cache))
     _write_json(
         out_dir / "zeros_report.json",
-        {"command": "zeros", "cache": str(cache), "count": count, "reused": reused},
+        {"command": "zeros", "cache": str(cache), "count": len(zeros), "reused": reused},
     )
-    _write_runtime(out_dir, "zeros", time.perf_counter() - t0)
+    max_abs_error = max((z.abs_error for z in zeros), default=0.0)
+    _write_runtime(out_dir, "zeros", time.perf_counter() - t0, {"max_abs_error": max_abs_error})
     return EXIT_OK
 
 
@@ -201,24 +201,12 @@ def _family(cfg: RunConfig) -> list[schwartz.TestFunction]:
     return [schwartz.make_test_function(k) for k in cfg.family_ks]
 
 
-def _dip_payload(dip: cycles.Dip, zeros: list[ZetaZero]) -> dict:
-    nearest = min(zeros, key=lambda z: abs(z.ordinate - dip.s), default=None)
-    return {
-        "L_star": dip.L_star,
-        "n": dip.n,
-        "s": dip.s,
-        "matched_zero": None if nearest is None else nearest.ordinate,
-        "distance": None if nearest is None else abs(nearest.ordinate - dip.s),
-        "z_residual": dip.z_residual,
-    }
-
-
 def cmd_scan(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     out_dir = Path(cfg.output_dir)
     zeros = load_zeros(cfg)
     lo, hi = cfg.L_window
-    result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max)
+    result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max, zeros)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -227,7 +215,8 @@ def cmd_scan(cfg: RunConfig) -> int:
             writer.writerow([f"{L:.10f}", f"{score:.16e}"])
     _write_json(
         out_dir / "dips.json",
-        {"command": "scan", "dips": [_dip_payload(d, zeros) for d in result.dips]},
+        # each dip is the cached zero zero_index (from 0), whose ordinate is s
+        {"command": "scan", "dips": [{**asdict(d), "matched_zero": d.s} for d in result.dips]},
     )
     stats = dict(result.runtime_stats)
     stats["profile_seconds"] = stats.pop("seconds")
@@ -354,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", dest="output_dir")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("zeros", help="compute and cache critical zeros up to t_max")
-    sub.add_parser("scan", help="scan the L window and refine dips")
+    sub.add_parser("scan", help="scan the L window and match its dips to the cached zeros")
     p_detect = sub.add_parser("detect", help="assess a single circle length")
     p_detect.add_argument("L", type=float)
     sub.add_parser("verify", help="run the identity suite")

@@ -22,11 +22,10 @@ from .schwartz import TestFunction, mellin_psi, mellin_psi_many
 from .specfun import (
     _GRID_BLOCK,
     VALIDATED_T_MAX,
+    AccuracyError,
     ZetaZero,
     _sign_changes,
     find_zeros,
-    refine_root,
-    riemann_siegel_Z,
     rotate_to_Z,
     zeta_critical,
     zeta_critical_many,
@@ -88,8 +87,10 @@ class CycleReport:
 class Dip:
     L_star: float
     n: int
-    s: float
-    z_residual: float
+    s: float  # the ordinate t_k of the listed zero the dip's bracket holds
+    z_residual: float  # |Z(t_k)|
+    zero_index: int  # k, the index of that zero in the list scan was given
+    bracket_width: float  # the width in s of the sign-change bracket
 
 
 @dataclass(frozen=True)
@@ -176,19 +177,20 @@ def scan(
     step: float,
     family: list[TestFunction],
     t_max: float = 60.0,
+    zeros: list[ZetaZero] | None = None,
 ) -> ScanResult:
     """Profile the minimum zeta-scale row score over an L-grid, and find the cycles.
 
     The grid steps from L_min and ends at L_max, with a shorter last step if
     need be. A dip is a sign change of Z(2 pi n / L) between neighbouring grid
-    lengths, both with 2 pi n / L <= t_max, in a row n; it is refined to a
-    root s* of Z, and L* = 2 pi n / s*. The cycles L = 2 pi n / t_k are all
-    found where one L step moves each row's frequency by less than the zero
-    spacing there: a bracket may end at a row's last cell above t_max, where Z
-    is evaluated (up to VALIDATED_T_MAX) for its sign only, outside the profile
-    and zeta_points; a root above t_max is dropped. Profile and refinement
-    are both on Euler-Maclaurin, through zeta_critical_many and
-    riemann_siegel_Z.
+    lengths in a row n. It is not refined: the one zero t_k of the sorted list
+    zeros (find_zeros(0, t_max) when None) inside its bracket gives the cycle
+    L* = 2 pi n / t_k, and a bracket holding two, or none below t_max, raises
+    AccuracyError. The cycles are all found where one L step moves each row's
+    frequency by less than the zero spacing there: a bracket may end at a
+    row's last cell above t_max, where Z is evaluated (up to VALIDATED_T_MAX)
+    for its sign only, outside the profile and zeta_points; listed zeros above
+    t_max are dropped. The family's Mellin factors meet _PSI_FLOOR at each t_k.
     """
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
@@ -209,7 +211,7 @@ def scan(
     best = np.empty(count)
     l_next = np.append(l_values[1:], l_values[-1])
     s_last = z_last = np.empty((0, n.size))  # the previous chunk's last length
-    dips: list[Dip] = []
+    brackets = []  # (row n, low end, high end in s) of each sign change of Z
     zeta_points = zeta_blocks = edge_points = 0
     for first in range(0, count, rows):
         chunk = slice(first, first + rows)
@@ -222,11 +224,6 @@ def scan(
         zeta = zeta_critical_many(t)[0]
         scores = np.full(s.shape, np.inf)
         scores[pairs] = np.abs(zeta)
-        psi_max = np.max([np.abs(mellin_psi_many(f, t)) for f in family], axis=0)
-        if (low := psi_max < _PSI_FLOOR).any():
-            raise FamilyDegenerateError(
-                f"family Mellin factors all below {_PSI_FLOOR:g} at s = {t[low.argmax()]:.6g}"
-            )
         best[chunk] = scores.min(axis=1)
         zeta_points += t.size
         zeta_blocks += -(-t.size // _GRID_BLOCK)
@@ -236,20 +233,39 @@ def scan(
         z_rows[edge] = rotate_to_Z(s[edge], zeta_critical_many(s[edge])[0])
         edge_points += int(np.count_nonzero(edge))
         s, z_rows = np.vstack([s_last, s]), np.vstack([z_last, z_rows])
-        for i, j in zip(*_sign_changes(z_rows)):
-            # frequency falls as L grows, so the bracket's ends swap
-            s_star, z_star, _, _ = refine_root(
-                riemann_siegel_Z,
-                float(s[i + 1, j]), float(z_rows[i + 1, j]), float(s[i, j]), float(z_rows[i, j]),
-            )
-            if s_star <= t_max:
-                dips.append(Dip(_TWO_PI * int(n[j]) / s_star, int(n[j]), s_star, abs(z_star)))
+        i, j = _sign_changes(z_rows)  # frequency falls as L grows: s[i + 1] < s[i]
+        brackets.append((n[j], s[i + 1, j], s[i, j]))
         s_last, z_last = s[-1:], z_rows[-1:]
 
-    dips.sort(key=lambda d: d.L_star)
+    # as in _sign_changes, a zero on a grid point belongs to the bracket whose
+    # low end it is: each bracket holds the listed zeros in [low, high)
+    rows_n, low, high = (np.concatenate(v) for v in zip(*brackets))
+    zeros = find_zeros(0.0, t_max) if zeros is None else zeros
+    ordinates = np.array([z.ordinate for z in zeros if z.ordinate <= t_max])
+    k = np.searchsorted(ordinates, low)
+    held = np.searchsorted(ordinates, high) - k
+    if (bad := (held > 1) | ((held == 0) & (high <= t_max))).any():
+        b = bad.argmax()
+        raise AccuracyError(f"row n = {rows_n[b]}: the bracket [{low[b]:.12g}, {high[b]:.12g}]"
+                            f" of Z holds {held[b]} listed zeros, not 1")
+    one = held == 1
+    rows_n, k, width = rows_n[one], k[one], (high - low)[one]
+    # Z and the Mellin factors once at each zero the dips read
+    index, back = np.unique(k, return_inverse=True)
+    t_k = ordinates[index]
+    residual = np.abs(rotate_to_Z(t_k, zeta_critical_many(t_k)[0]))[back]
+    psi_max = np.max([np.abs(mellin_psi_many(f, t_k)) for f in family], axis=0)
+    if (low_psi := psi_max < _PSI_FLOOR).any():
+        raise FamilyDegenerateError(
+            f"family Mellin factors all below {_PSI_FLOOR:g} at s = {t_k[low_psi.argmax()]:.6g}"
+        )
+    L_star = _TWO_PI * rows_n / ordinates[k]
+    order = np.argsort(L_star, kind="stable")
+    columns = (L_star, rows_n, ordinates[k], residual, k, width)
+    dips = [Dip(*fields) for fields in zip(*(c[order].tolist() for c in columns))]
     stats = {
         "grid_points": count,
-        "dips_refined": len(dips),
+        "dips": len(dips),
         "seconds": time.perf_counter() - started,
         "zeta_points": zeta_points,
         "zeta_blocks": zeta_blocks,

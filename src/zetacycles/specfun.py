@@ -9,10 +9,10 @@ C0..C4, and honest error accounting for both. `zeta_critical` alone takes an
 its `rs_threshold`. `zeta_critical_many`, `riemann_siegel_Z` and `zeta_jet`
 run on Euler-Maclaurin up to VALIDATED_T_MAX, under the target of
 `_EM_POLICY`. Z is zeta rotated by e^{i theta}, on an array by
-`rotate_to_Z`; `find_zeros` and `cycles.scan` both take a zero as a sign
-change of Z between neighbouring points of such an array, refined by
-`refine_root`. `find_zeros`' array is the Gram points g_j, where
-theta(g_j) = j pi, with Gram's law (-1)^j Z(g_j) > 0 checked at each.
+`rotate_to_Z`; a zero is a sign change of Z between neighbouring points of
+such an array. `find_zeros` takes the Gram points g_j, where theta(g_j) =
+j pi, checks Gram's law (-1)^j Z(g_j) > 0 at each, and refines all its
+brackets at once; `cycles.scan` looks its brackets up in that zero list.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "log_gamma",
     "open_replacing",
     "read_zero_cache",
-    "refine_root",
     "riemann_siegel_Z",
     "rotate_to_Z",
     "siegel_theta",
@@ -401,53 +400,49 @@ def _sign_changes(values: np.ndarray) -> tuple[np.ndarray, ...]:
 _ROOT_XTOL = 1e-12
 
 
-def refine_root(
-    f: Callable[[float], float], a: float, fa: float, b: float, fb: float
-) -> tuple[float, float, float, float]:
-    """Brent's method on f over [a, b], given fa = f(a) and fb = f(b) of opposite
-    signs: scipy.optimize.brentq's iteration (brentq.c) step for step, at
-    xtol = _ROOT_XTOL and rtol = 4 eps, so the same root from the same calls.
-    Returns (root, f(root), width, slope): f changes sign within width of the
-    root (width 0 when f(root) == 0), and slope is the secant slope across
-    that bracket, whose far end is the nearest evaluated point of other sign."""
-    seen = {a: fa, b: fb}
-    xpre, fpre, xcur, fcur = float(a), fa, float(b), fb
-    if fpre == 0.0:
-        xcur, fcur = xpre, fpre  # the loop then stops at once, at a
-    elif fcur != 0.0 and math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+def _refine_roots(
+    f: Callable[[np.ndarray], np.ndarray], a, fa, b, fb
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chandrupatla's method on every bracket [a_i, b_i] at once, given
+    fa = f(a) and fb = f(b) of opposite signs (or zero). f maps an array of
+    points to their values; each step calls it once, on the brackets still
+    open. A bracket closes when its better end x is a root, or when it is
+    narrower than _ROOT_XTOL + 4 eps |x|; no bracket's arithmetic reads
+    another's. Returns arrays (root, width, slope): f changes sign within
+    width of the root (width 0 when f(root) == 0), and slope is the secant
+    slope across that final bracket."""
+    x1, f1, x2, f2 = (np.array(v, dtype=np.float64) for v in (a, fa, b, fb))
+    x3, f3, t = x2, f2, np.full(x1.size, 0.5)  # x3 is set before it is read
+    lanes = np.arange(x1.size)
+    root, width, slope = np.empty((3, x1.size))
     for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_XTOL + 4.0 * _EPS * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            break
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)  # a good short step, or bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        if math.isnan(fcur := seen.setdefault(xcur, f(xcur))):
-            raise ValueError(f"f({xcur!r}) is NaN; Brent's method cannot continue")
-    else:
-        raise RuntimeError("Brent's method failed to converge after 100 iterations")
-    root, f_root = xcur, seen.pop(xcur)
-    other = min((x for x in seen if seen[x] * f_root <= 0.0), key=lambda x: abs(x - root))
-    width = 0.0 if f_root == 0.0 else abs(other - root)
-    return root, f_root, width, abs(seen[other] - f_root) / abs(other - root)
+        better = np.abs(f1) < np.abs(f2)
+        x, fx = np.where(better, x1, x2), np.where(better, f1, f2)
+        dx, tol = np.abs(x2 - x1), _ROOT_XTOL + 4.0 * _EPS * np.abs(x)
+        if (done := (fx == 0.0) | (dx < tol)).any():
+            k = lanes[done]
+            root[k], width[k] = x[done], np.where(fx == 0.0, 0.0, dx)[done]
+            slope[k] = np.abs(f2 - f1)[done] / dx[done]
+            lanes, x1, f1, x2, f2, x3, f3, t, dx, tol = (
+                v[~done] for v in (lanes, x1, f1, x2, f2, x3, f3, t, dx, tol)
+            )
+        if not lanes.size:
+            return root, width, slope
+        # a step at least tol / 2 inside the bracket, then keep the ends of other sign
+        xt = x1 + np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx) * (x2 - x1)
+        if np.isnan(ft := np.asarray(f(xt), dtype=np.float64)).any():
+            raise ValueError(f"f({xt[np.isnan(ft).argmax()]!r}) is NaN; refinement cannot go on")
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        # inverse quadratic interpolation where the three points allow it, else bisection
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        g1, g2, g3, alpha = f1[iqi], f2[iqi], f3[iqi], ((x3 - x1) / (x2 - x1))[iqi]
+        t = np.full(x1.size, 0.5)
+        t[iqi] = g1 / (g1 - g2) * g3 / (g3 - g2) - alpha * g1 / (g3 - g1) * g2 / (g2 - g3)
+    raise RuntimeError("Chandrupatla's method failed to converge after 100 steps")
 
 
 def _gram_points(t_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -473,14 +468,14 @@ def find_zeros(t_min: float, t_max: float) -> list[ZetaZero]:
     Z is evaluated in one block on the Gram points g_j in (t_min, t_max) and
     the two ends. Gram's law, (-1)^j Z(g_j) > 0, is checked at every Gram
     point, and a bad one raises AccuracyError; it holds below VALIDATED_T_MAX
-    (the first bad Gram point is g_126 ~ 282.45). Sign changes are refined
-    by refine_root on riemann_siegel_Z. Grid and refinement are both on
-    Euler-Maclaurin, whose floor ~1e-13 certifies a 1e-9 ordinate (the
-    Riemann-Siegel noise ~1e-8 could not). abs_error is the final bracket's
-    width plus the larger evaluation bound at the Gram bracket's two ends over
-    the secant slope; the Euler-Maclaurin bound rises with t, so that covers
-    every point refined in between. Gram's law gives an odd number of zeros in
-    each Gram interval, not one: multiplicity = 1 is assumed, not proven.
+    (the first bad Gram point is g_126 ~ 282.45). The sign changes are refined
+    together by _refine_roots, one zeta_critical_many and rotate_to_Z call per
+    step, on Euler-Maclaurin, whose floor ~1e-13 certifies a 1e-9 ordinate.
+    abs_error is the final bracket's width plus the larger evaluation bound at
+    the Gram bracket's two ends over the secant slope; the Euler-Maclaurin
+    bound rises with t, so that covers every point refined in between. Gram's
+    law gives an odd number of zeros in each Gram interval, not one:
+    multiplicity = 1 is assumed, not proven.
     """
     if not (0.0 <= t_min < t_max):
         raise ValueError("need 0 <= t_min < t_max")
@@ -498,13 +493,13 @@ def find_zeros(t_min: float, t_max: float) -> list[ZetaZero]:
         raise AccuracyError(
             f"Gram's law fails at g_{j[k]} = {gram[k]:.6f}: Z(g_{j[k]}) = {values[k + 1]:.3g}"
         )
-    zeros: list[ZetaZero] = []
-    for i in _sign_changes(values)[0]:
-        root, _, width, slope = refine_root(
-            riemann_siegel_Z, grid[i], values[i], grid[i + 1], values[i + 1]
-        )
-        zeros.append(ZetaZero(root, 1, float(width + max(bounds[i], bounds[i + 1]) / slope)))
-    return zeros
+    i = _sign_changes(values)[0]
+    root, width, slope = _refine_roots(
+        lambda t: rotate_to_Z(t, zeta_critical_many(t)[0]),
+        grid[i], values[i], grid[i + 1], values[i + 1],
+    )
+    abs_error = width + np.maximum(bounds[i], bounds[i + 1]) / slope
+    return [ZetaZero(float(r), 1, float(e)) for r, e in zip(root, abs_error)]
 
 
 # ---------------------------------------------------------------------------

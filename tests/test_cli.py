@@ -167,6 +167,22 @@ class TestZeros:
         assert meta["t_max"] == 25.0
         assert meta["count"] == 2
 
+    def test_runtime_records_the_largest_abs_error(self, tmp_path):
+        """zeros_runtime.json carries max_abs_error, fresh and on reuse (read
+        back from the cache, whose abs_error has 7 digits); zeros_report.json
+        keeps its four keys."""
+        seed_cache(60.0)
+        reports = tmp_path / "reports"
+        fresh = json.loads((reports / "zeros_runtime.json").read_text())["max_abs_error"]
+        cached = specfun.read_zero_cache(tmp_path / "zeros.csv")
+        assert fresh == pytest.approx(max(z.abs_error for z in cached), rel=1e-6)
+        assert 0.0 < fresh <= 1e-9
+        seed_cache(60.0)
+        reused = json.loads((reports / "zeros_runtime.json").read_text())["max_abs_error"]
+        assert reused == max(z.abs_error for z in cached)
+        report = json.loads((reports / "zeros_report.json").read_text())
+        assert report == {"command": "zeros", "cache": "zeros.csv", "count": 13, "reused": True}
+
     def test_empty_range_still_writes_cache(self, tmp_path):
         seed_cache(5.0)
         report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
@@ -273,8 +289,11 @@ class TestScan:
 
         dips = json.loads(first_dips)["dips"]
         assert len(dips) == 1
-        assert dips[0]["matched_zero"] == pytest.approx(ZERO_ORDINATES[0])
-        assert dips[0]["distance"] <= 1e-6
+        assert dips[0]["matched_zero"] == dips[0]["s"] == pytest.approx(ZERO_ORDINATES[0])
+        # the dip is the cache's zero 0, inside a bracket of one 1e-4 step in L
+        assert dips[0]["zero_index"] == 0
+        assert 0.0 < dips[0]["bracket_width"] <= 2.0 * math.pi / 0.443 - 2.0 * math.pi / 0.4431
+        assert "distance" not in dips[0]
         assert abs(dips[0]["L_star"] - L_STAR) <= 1e-8
         assert dips[0]["z_residual"] < 1e-8
         assert b"seconds" not in first_dips
@@ -285,6 +304,18 @@ class TestScan:
         assert "profile_seconds" in runtime
         # 31 lengths with one row each below t = 20, in one Euler-Maclaurin block
         assert (runtime["zeta_points"], runtime["zeta_blocks"]) == (31, 1)
+
+    def test_zero_missing_from_the_cache_exits_2(self, tmp_path, capsys):
+        """A cache without t_4 = 30.42: the bracket of row 2 that holds it
+        finds no listed zero, and scan exits 2 naming that row."""
+        seed_cache(60.0)
+        cache = tmp_path / "zeros.csv"
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[:4] + lines[5:]))
+        assert run("--L-window", "0.40,0.46", "scan") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: AccuracyError: row n = 2: the bracket")
+        assert "holds 0 listed zeros" in err and err.count("\n") == 1
 
     def test_csv_header(self, tmp_path):
         seed_cache(20.0)

@@ -16,7 +16,7 @@ from zetacycles.cycles import (
     scan,
 )
 from zetacycles.schwartz import linear_combination, make_test_function
-from zetacycles.specfun import VALIDATED_T_MAX, find_zeros, zeta_critical
+from zetacycles.specfun import VALIDATED_T_MAX, AccuracyError, find_zeros, zeta_critical
 
 T1 = ZERO_ORDINATES[0]
 L_STAR = 2.0 * math.pi / T1
@@ -192,6 +192,31 @@ class TestScan:
         assert {(16, 108), (17, 108)} <= set(predicted)
         assert max(dip.s for dip in result.dips) <= 250.0
         assert result.runtime_stats["edge_points"] == 2
+
+    def test_zero_missing_from_the_list(self, family, zeros60):
+        """Without t_4 = 30.42 in the list, the bracket of row 2 that holds it
+        finds no listed zero: the profile and the list disagree."""
+        gapped = zeros60[:3] + zeros60[4:]
+        with pytest.raises(AccuracyError, match=r"row n = 2: the bracket \[30\.35\d*, 30\.42\d*\]"):
+            scan(0.40, 0.46, 1e-3, family, t_max=60.0, zeros=gapped)
+
+    def test_dips_read_off_the_list(self, family, zeros60):
+        """Each dip is a listed zero, by index, with its own bracket width, and
+        |Z| there for its residual; a given list and none give the same dips."""
+        result = scan(0.3, 1.5, 1e-3, family, t_max=60.0, zeros=zeros60)
+        assert result.dips == scan(0.3, 1.5, 1e-3, family, t_max=60.0).dips
+        for dip in result.dips:
+            assert dip.s == zeros60[dip.zero_index].ordinate
+            assert dip.L_star == 2.0 * math.pi * dip.n / dip.s
+            assert 0.0 < dip.bracket_width <= 2.0 * math.pi * dip.n * 1e-3 / 0.3**2
+            assert dip.z_residual < 1e-8
+        assert {dip.zero_index for dip in result.dips} == set(range(13))
+
+    def test_degenerate_family_rejected(self):
+        # the floor is checked at the dips' frequencies: it fails at t_k >= 30
+        faint = linear_combination([make_test_function(0)], [1e-240])
+        with pytest.raises(FamilyDegenerateError):
+            scan(0.40, 0.46, 1e-3, [faint], t_max=60.0)
 
 
 class TestCovering:

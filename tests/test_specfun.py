@@ -29,7 +29,6 @@ from zetacycles.specfun import (
     gamma_complex,
     log_gamma,
     read_zero_cache,
-    refine_root,
     riemann_siegel_Z,
     rotate_to_Z,
     siegel_theta,
@@ -363,31 +362,30 @@ class TestZetaCriticalMany:
 
 
 class TestRefineRoot:
-    """refine_root runs scipy's brentq iteration: same root, same evaluations."""
+    """The lockstep refiner: many brackets in one call, each lane to within
+    xtol = 1e-12 + 4 eps |x| of its root, whatever lanes it shares calls with."""
 
     @staticmethod
-    def agree_with_brentq(f, a, b):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        calls = []
-        root, f_root, width, _ = refine_root(
-            lambda x: calls.append(x) or f(x), a, f(a), b, f(b)
-        )
-        expected, info = brentq(f, a, b, xtol=1e-12, full_output=True)
-        assert root == expected
-        assert len(calls) + 2 == info.function_calls
-        assert f_root == f(root)
-        assert width <= 2e-12 + 1e-15 * abs(root)
+    def refine(f, a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return specfun._refine_roots(f, a, f(a), b, f(b))
 
     def test_z_brackets_of_the_zero_grid(self):
-        """The Gram-point brackets that find_zeros refines, about 40 times
-        wider than a 0.04 grid's."""
+        """The 108 Gram-point brackets of find_zeros(0, 250) in one call:
+        each root within 2 xtol of scipy's brentq on the same bracket."""
+        brentq = pytest.importorskip("scipy.optimize").brentq
         gram = specfun._gram_points(250.0)[1]
         grid = np.concatenate(([0.0], gram, [250.0]))
         values = rotate_to_Z(grid, zeta_critical_many(grid)[0])
-        brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-        assert brackets.size == 108
-        for i in brackets[::3]:
-            self.agree_with_brentq(riemann_siegel_Z, float(grid[i]), float(grid[i + 1]))
+        i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        assert i.size == 108
+        z_at = lambda t: rotate_to_Z(t, zeta_critical_many(t)[0])
+        root, width, slope = self.refine(z_at, grid[i], grid[i + 1])
+        assert (width <= 1e-12 + 4.0 * np.finfo(float).eps * root).all()
+        assert (slope > 0.0).all() and (np.abs(z_at(root)) <= slope * width).all()
+        for k in range(0, 108, 3):
+            expected = brentq(riemann_siegel_Z, grid[i[k]], grid[i[k] + 1], xtol=1e-12)
+            assert abs(root[k] - expected) <= 2e-12
 
     def test_sign_changes(self):
         """A point on a zero goes to the bracket that ends there; NaN brackets
@@ -399,16 +397,43 @@ class TestRefineRoot:
 
     @pytest.mark.parametrize("c", np.linspace(-0.9, 0.9, 7))
     def test_analytic_functions(self, c):
-        self.agree_with_brentq(lambda x: math.cos(x) - c, 0.0, math.pi)
-        self.agree_with_brentq(lambda x: math.exp(x) - 2.0 - c, -1.0, 3.0)
+        """cos x - c on [k pi, (k + 1) pi] for k = 0..39, and e^x - 2 - c on
+        40 brackets of widths from 0.1 to 8 around log(2 + c): one call each,
+        every root within xtol of the closed form."""
+        xtol = lambda x: 1e-12 + 4.0 * np.finfo(float).eps * np.abs(x)
+        k = np.arange(40.0)
+        root, width, _ = self.refine(lambda x: np.cos(x) - c, k * np.pi, (k + 1) * np.pi)
+        exact = np.where(k % 2 == 0, k * np.pi + np.arccos(c), (k + 1) * np.pi - np.arccos(c))
+        assert (np.abs(root - exact) <= xtol(exact)).all() and (width < xtol(root)).all()
+        exact = math.log(2.0 + c)
+        spread = np.linspace(0.1, 8.0, 40)
+        root, width, _ = self.refine(
+            lambda x: np.exp(x) - 2.0 - c, exact - 0.3 * spread, exact + 0.7 * spread
+        )
+        assert (np.abs(root - exact) <= xtol(exact)).all() and (width < xtol(root)).all()
 
     def test_end_on_a_root_and_bad_bracket(self):
-        assert refine_root(math.sin, 0.0, 0.0, 1.0, math.sin(1.0))[:3] == (0.0, 0.0, 0.0)
-        assert refine_root(math.sin, -1.0, math.sin(-1.0), 0.0, 0.0)[:3] == (0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="different signs"):
-            refine_root(math.cos, 0.0, 1.0, 1.0, math.cos(1.0))
+        """An end on a root is returned at once with width 0. A bracket on
+        which f gives NaN raises (ends of one sign are not checked: the one
+        caller passes sign changes only)."""
+        root, width, _ = self.refine(np.sin, [0.0, -1.0, 2.0], [1.0, 0.0, 4.0])
+        assert root[:2].tolist() == [0.0, 0.0] and width[:2].tolist() == [0.0, 0.0]
+        assert abs(root[2] - math.pi) <= 1e-12 and width[2] > 0.0
         with pytest.raises(ValueError, match="NaN"):
-            refine_root(lambda x: math.nan, -1.0, -1.0, 1.0, 1.0)
+            specfun._refine_roots(lambda x: np.full(x.size, np.nan), [-1.0], [-1.0], [1.0], [1.0])
+
+    def test_a_subset_gives_identical_lanes(self):
+        """Refining some of the brackets returns, for each, the very floats of
+        refining all of them: find_zeros' records do not depend on t_min."""
+        gram = specfun._gram_points(250.0)[1]
+        values = rotate_to_Z(gram, zeta_critical_many(gram)[0])
+        i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        f = lambda t: rotate_to_Z(t, zeta_critical_many(t)[0])
+        whole = np.stack(self.refine(f, gram[i], gram[i + 1]))
+        for part in (i[1::2], i[40:47], i[-1:]):
+            picked = np.isin(i, part)
+            assert np.array_equal(np.stack(self.refine(f, gram[part], gram[part + 1])),
+                                  whole[:, picked])
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,7 +449,7 @@ def test_em_bound_covers_error(t):
 
 def test_em_bound_rises_with_t():
     """find_zeros takes the larger Euler-Maclaurin bound of a Gram bracket's
-    two ends as the bound at every point refine_root evaluates inside it; that
+    two ends as the bound at every point the refiner evaluates inside it; that
     holds because the bound never falls as t rises."""
     t = np.linspace(0.0, VALIDATED_T_MAX, 26001)
     bounds = np.concatenate(
