@@ -1,106 +1,79 @@
-"""Validate the Riemann-Siegel remainder coefficient table against mpmath.
+"""Check the package's Riemann-Siegel evaluator against mpmath; exit 1 on any excess.
 
-Two stages:
-1. Coefficient table check: evaluate the RS main sum + C0..C4 remainder with
-   Psi derivatives taken from mpmath.diff (exact), compare to mpmath.siegelz.
-   Residual should scale ~ t^(-11/4) if the table is correct.
-2. Cauchy stencil check: compare the trapezoid contour derivative values of
-   Psi against mpmath.diff.
+Two stages, both on the code in src/zetacycles/specfun.py:
+1. Value and bound: at 161 points of [20, 260] (the lowest rs_threshold
+   EvalConfig accepts, up to VALIDATED_T_MAX), |Z - mpmath.siegelz| must not
+   exceed the bound _riemann_siegel_raw returns with it.
+2. Psi derivatives: _psi_rs_derivatives(p0), orders 0..12, against
+   mpmath.diffs at p0 in [0, 1) off the removable singularities 1/4 + k/2
+   (where an mpmath reference would divide 0 by 0). Each error must stay
+   below 1e-13 of the Cauchy scale k! max|Psi| / r^k on the contour the
+   code integrates over; rounding puts it near 2e-16 of that scale.
+
+Run from the repository root (needs mpmath):
+
+    PYTHONPATH=src python3 dev/validate_rs_table.py
 """
 
 from __future__ import annotations
 
-import math
+import sys
 
 import mpmath as mp
+import numpy as np
 
-mp.mp.dps = 30
+from zetacycles import specfun
 
-PI = mp.pi
-
-
-def Psi(p):
-    return mp.cos(2 * PI * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * PI * p)
-
-
-def psi_deriv(p, k):
-    if k == 0:
-        return Psi(p)
-    return mp.diff(Psi, p, k)
+T_POINTS = np.linspace(20.0, specfun.VALIDATED_T_MAX, 161)
+P_POINTS = [p for p in np.arange(0.0, 1.0, 0.05) if min(abs(p - 0.25), abs(p - 0.75)) > 0.01]
+DERIVATIVE_TOL = 1e-13  # of the Cauchy scale
 
 
-def rs_remainder_coeffs(p):
-    d = [psi_deriv(p, k) for k in range(13)]
-    pi2 = PI * PI
-    pi4 = pi2 * pi2
-    pi6 = pi4 * pi2
-    pi8 = pi4 * pi4
-    c0 = d[0]
-    c1 = -d[3] / (96 * pi2)
-    c2 = d[2] / (64 * pi2) + d[6] / (18432 * pi4)
-    c3 = -d[1] / (64 * pi2) - d[5] / (3840 * pi4) - d[9] / (5308416 * pi6)
-    c4 = d[0] / (128 * pi2) + d[4] / (24576 * pi4) + d[8] / (5898240 * pi6) + d[12] / (2038431744 * pi8)
-    return [c0, c1, c2, c3, c4]
+def psi(p):
+    return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
 
 
-def rs_Z(t, n_corr):
-    t = mp.mpf(t)
-    tau = t / (2 * PI)
-    rt = mp.sqrt(tau)
-    m = int(mp.floor(rt))
-    p = rt - m
-    theta = mp.siegeltheta(t)
-    s = mp.mpf(0)
-    for n in range(1, m + 1):
-        s += mp.cos(theta - t * mp.log(n)) / mp.sqrt(n)
-    s *= 2
-    cs = rs_remainder_coeffs(p)
-    corr = mp.mpf(0)
-    for j in range(n_corr):
-        corr += cs[j] * tau ** (-mp.mpf(j) / 2)
-    corr *= (-1) ** (m - 1) * tau ** (-mp.mpf(1) / 4)
-    return s + corr
+def stage_value_and_bound() -> int:
+    print("stage 1: _riemann_siegel_raw against mpmath.siegelz")
+    print(f"{'t':>8} {'|error|':>11} {'bound':>11} {'ratio':>7}")
+    failures, worst = 0, (0.0, 0.0)
+    for i, t in enumerate(T_POINTS):
+        value, bound = specfun._riemann_siegel_raw(float(t))
+        with mp.workdps(20):
+            error = abs(value - float(mp.siegelz(float(t))))
+        ratio = error / bound
+        worst = max(worst, (ratio, float(t)))
+        if ratio > 1.0 or i % 20 == 0:
+            print(f"{t:8.2f} {error:11.3e} {bound:11.3e} {ratio:7.3f}" + ("  EXCEEDS" if ratio > 1.0 else ""))
+        failures += ratio > 1.0
+    print(f"worst ratio {worst[0]:.3f} at t = {worst[1]:.2f}; {failures} of {T_POINTS.size} exceed")
+    return failures
 
 
-def main():
-    print("stage 1: table residuals vs mpmath.siegelz")
-    print(f"{'t':>8} {'resid C0..C0':>14} {'C0..C1':>14} {'C0..C2':>14} {'C0..C3':>14} {'C0..C4':>14} {'0.017*t^-11/4':>14}")
-    for t in [30.0, 50.0, 75.0, 90.0, 100.0, 120.0, 150.0, 200.0, 250.0]:
-        zex = mp.siegelz(t)
-        row = []
-        for n in range(1, 6):
-            row.append(abs(rs_Z(t, n) - zex))
-        bound = 0.017 * t ** (-2.75)
-        print(f"{t:8.1f} " + " ".join(f"{float(r):14.3e}" for r in row) + f" {bound:14.3e}")
+def stage_psi_derivatives() -> int:
+    print("stage 2: _psi_rs_derivatives against mpmath.diffs, orders 0..12")
+    r, m = specfun._RS_CONTOUR_RADIUS, specfun._RS_CONTOUR_NODES
+    failures = 0
+    with mp.workdps(30):
+        for p0 in P_POINTS:
+            got = specfun._psi_rs_derivatives(float(p0))
+            exact = list(mp.diffs(psi, mp.mpf(float(p0)), 12))
+            top = max(abs(psi(p0 + r * mp.expjpi(2 * (j + 0.5) / m))) for j in range(m))
+            scaled = [float(abs(g - e) * r**k / (mp.factorial(k) * top))
+                      for k, (g, e) in enumerate(zip(got, exact))]
+            bad = max(scaled) > DERIVATIVE_TOL
+            print(f"p0 = {p0:4.2f}  worst error / Cauchy scale {max(scaled):.2e}"
+                  + ("  EXCEEDS" if bad else ""))
+            failures += bad
+    return failures
 
-    # exponent estimate for the C0..C4 residual
-    r100 = abs(rs_Z(100.0, 5) - mp.siegelz(100.0))
-    r200 = abs(rs_Z(200.0, 5) - mp.siegelz(200.0))
-    print("observed decay exponent (100->200):", float(mp.log(r100 / r200) / mp.log(2)))
 
+def main() -> int:
+    failures = stage_value_and_bound()
     print()
-    print("stage 2: Cauchy trapezoid stencil for Psi derivatives vs mp.diff")
-    # nodes rotated half a step to avoid p on the contour hitting singular points
-    M = 64
-    radius = mp.mpf("0.4")
-    for p0 in [mp.mpf("0.13"), mp.mpf("0.25"), mp.mpf("0.5"), mp.mpf("0.77")]:
-        samples = []
-        for j in range(M):
-            ang = 2 * PI * (j + mp.mpf("0.5")) / M
-            z = p0 + radius * mp.e ** (1j * ang)
-            samples.append((ang, Psi(z)))
-        worst = mp.mpf(0)
-        for k in [1, 2, 3, 4, 5, 6, 8, 9, 12]:
-            acc = mp.mpf(0)
-            for ang, val in samples:
-                acc += val * mp.e ** (-1j * k * ang)
-            est = mp.factorial(k) / (M * radius**k) * acc
-            exact = psi_deriv(p0, k)
-            err = abs(est.real - exact) + abs(est.imag)
-            rel = err / max(abs(exact), mp.mpf(1))
-            worst = max(worst, rel)
-        print(f"p0={float(p0):5.2f}  worst rel err over orders 1..12: {float(worst):.3e}")
+    failures += stage_psi_derivatives()
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

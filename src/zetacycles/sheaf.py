@@ -11,17 +11,12 @@ import json
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .operators import CircleFunction
 from .specfun import ZetaZero, finite_difference_weights, zeta_critical
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "GlobalSection",
@@ -59,14 +54,27 @@ class UnderResolvedGridError(ValueError):
 
 
 def _as_grid(values: Sequence[float]) -> np.ndarray:
+    """A finite, positive, increasing grid whose neighbours lie at least
+    1e-9 relative apart, so local stencils never see near-duplicate nodes."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-D array with at least two points")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid points must be finite")
     if grid[0] <= 0.0:
         raise ValueError("grid points must be positive")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
+    if np.any(np.diff(grid) < 1e-9 * grid[1:]):
+        raise ValueError("grid must increase by at least 1e-9 relative per point")
     return grid
+
+
+def _as_samples(values: Sequence[complex], grid: np.ndarray, name: str) -> np.ndarray:
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape != grid.shape:
+        raise ValueError(f"{name} must match the grid shape")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{name} must be finite")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +86,7 @@ class SampledFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _as_grid(self.grid))
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.shape:
-            raise ValueError("values must match the grid shape")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _as_samples(self.values, self.grid, "values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +94,8 @@ class GlobalSection:
     """Two-slot section: one complex sample per grid point and slot.
 
     vanishing_order_at_zero certifies |f(L)| <= C L^k near the left end of
-    the grid; order >= 1 licenses extension by zero below the grid.
+    the grid; order >= 1 licenses extension by zero below the grid. Between
+    grid points a slot is read through the same local stencil as its jets.
     """
 
     grid: np.ndarray
@@ -100,24 +106,11 @@ class GlobalSection:
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _as_grid(self.grid))
         for name in ("f_plus", "f_minus"):
-            vals = np.asarray(getattr(self, name), dtype=complex)
-            if vals.shape != self.grid.shape:
-                raise ValueError(f"{name} must match the grid shape")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, _as_samples(getattr(self, name), self.grid, name))
         if self.vanishing_order_at_zero < 0:
             raise ValueError("vanishing_order_at_zero must be nonnegative")
 
-    @cached_property
-    def _splines(self) -> tuple[CubicSpline, CubicSpline]:
-        from scipy.interpolate import CubicSpline  # loaded on first use: ~20 MB resident
-        return (CubicSpline(self.grid, self.f_plus),
-                CubicSpline(self.grid, self.f_minus))
-
-    def _eval(self, slot: int, L: float) -> complex:
-        if L > self.grid[-1] * (1.0 + 1e-12):
-            raise UnderResolvedGridError(
-                f"point {L} above sampled range end {self.grid[-1]}"
-            )
+    def _eval(self, values: np.ndarray, L: float) -> complex:
         if L < self.grid[0] * (1.0 - 1e-12):
             if self.vanishing_order_at_zero >= 1:
                 return 0.0 + 0.0j
@@ -125,13 +118,16 @@ class GlobalSection:
                 f"point {L} below grid start {self.grid[0]} and no vanishing"
                 " certificate to extend by zero"
             )
-        return complex(self._splines[slot](L))
+        i = int(np.searchsorted(self.grid, L))
+        if i < self.grid.size and self.grid[i] == L:
+            return complex(values[i])  # exact at a node, where the weights may be an ulp off
+        return _jet(_stencil(self.grid, L, 0), values)[0]
 
     def eval_plus(self, L: float) -> complex:
-        return self._eval(0, L)
+        return self._eval(self.f_plus, L)
 
     def eval_minus(self, L: float) -> complex:
-        return self._eval(1, L)
+        return self._eval(self.f_minus, L)
 
 
 def make_section(
@@ -192,9 +188,11 @@ def section_from_payload(payload: dict) -> GlobalSection:
         grid = np.asarray(payload["grid"], dtype=float)
         plus = np.array([complex(re, im) for re, im in payload["f_plus"]])
         minus = np.array([complex(re, im) for re, im in payload["f_minus"]])
+        order = payload.get("vanishing_order_at_zero", 0)
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise TypeError(f"vanishing_order_at_zero must be an integer, got {order!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed section payload: {exc}") from exc
-    order = int(payload.get("vanishing_order_at_zero", 0))
     return GlobalSection(grid, plus, minus, order)
 
 
@@ -231,10 +229,14 @@ def gamma_inverse(section: GlobalSection, N: int) -> list[CircleFunction]:
     return [circle_at(section, float(L), N) for L in section.grid]
 
 
+def _check_lambda(lam: float) -> None:
+    if not (0.0 < lam < math.inf):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
 def theta_on_sections(lam: float, section: GlobalSection) -> GlobalSection:
     """Scaling action on the two slots: f_+- (L) -> lam^(-+ 2 pi i / L) f_+- (L)."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     phase = np.exp(-2j * math.pi * math.log(lam) / section.grid)
     return GlobalSection(
         section.grid,
@@ -245,30 +247,27 @@ def theta_on_sections(lam: float, section: GlobalSection) -> GlobalSection:
 
 
 def _local_nodes(grid: np.ndarray, x0: float, count: int) -> np.ndarray:
-    """Ascending indices of the count grid points nearest x0, skipping any
-    point within 1e-9 relative of one already chosen."""
-    points, chosen = grid.tolist(), []
-    for idx in np.argsort(np.abs(grid - x0)).tolist():
-        x = points[idx]
-        if any(abs(x - points[i]) < 1e-9 * max(abs(x), 1e-300) for i in chosen):
-            continue
-        chosen.append(idx)
-        if len(chosen) == count:
-            break
-    if len(chosen) < count:
+    """Ascending indices of the count grid points nearest x0."""
+    if grid.size < count:
         raise UnderResolvedGridError(
-            f"only {len(chosen)} usable nodes near {x0}, need {count}"
+            f"only {grid.size} grid points near {x0}, need {count}"
         )
-    return np.sort(chosen)
+    return np.sort(np.argsort(np.abs(grid - x0))[:count])
 
 
-def _jet(grid: np.ndarray, values: np.ndarray, x0: float, order: int) -> list[complex]:
-    """Derivatives 0..order of the sampled function at x0 via local stencils."""
+def _stencil(grid: np.ndarray, x0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the local nodes at x0, and their weights for derivatives
+    0..order (one row per order)."""
     if not (grid[0] * (1.0 - 1e-12) <= x0 <= grid[-1] * (1.0 + 1e-12)):
         raise UnderResolvedGridError(f"jet point {x0} outside the grid range")
     idx = _local_nodes(grid, x0, order + _JET_EXTRA_NODES)
-    w = finite_difference_weights(x0, grid[idx], order)
-    return [complex(np.dot(w[k], values[idx])) for k in range(order + 1)]
+    return idx, finite_difference_weights(x0, grid[idx], order)
+
+
+def _jet(stencil: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> list[complex]:
+    """Derivatives 0..order of the sampled function at the stencil's point."""
+    idx, w = stencil
+    return [complex(np.dot(row, values[idx])) for row in w]
 
 
 @dataclass(frozen=True)
@@ -362,11 +361,11 @@ def ideal_membership(
         raise ValueError("tol must be positive")
     witnesses: list[JetWitness] = []
     for L_k, m_k in g.zeros:
-        idx = _local_nodes(f.grid, L_k, (m_k - 1) + _JET_EXTRA_NODES)
+        stencil = _stencil(f.grid, L_k, m_k - 1)
+        idx = stencil[0]
         spread = float(np.median(np.abs(f.grid[idx] - L_k)))
         local_scale = max(float(np.max(np.abs(f.values[idx]))), 1e-300)
-        jets = _jet(f.grid, f.values, L_k, m_k - 1)
-        for j, jet in enumerate(jets):
+        for j, jet in enumerate(_jet(stencil, f.values)):
             score = abs(jet) * spread**j / (math.factorial(j) * local_scale)
             if score > tol:
                 witnesses.append(JetWitness(L_k, j, jet, score))
@@ -395,10 +394,9 @@ def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> tuple[Je
     entries = []
     for z in zeros:
         L_k = _TWO_PI / z.ordinate
-        order = z.multiplicity - 1
-        jp = tuple(_jet(section.grid, section.f_plus, L_k, order))
-        jm = tuple(_jet(section.grid, section.f_minus, L_k, order))
-        entries.append(JetEntry(z.ordinate, L_k, jp, jm))
+        stencil = _stencil(section.grid, L_k, z.multiplicity - 1)
+        entries.append(JetEntry(z.ordinate, L_k, tuple(_jet(stencil, section.f_plus)),
+                                tuple(_jet(stencil, section.f_minus))))
     return tuple(entries)
 
 
@@ -450,8 +448,6 @@ class JordanReport:
     fd_rel_error: float
     order0_residual: float
     order1_rel_error: float
-    cocycle_residual: float
-    nilpotent_sq_max: float
 
 
 def _theta_multiplier(lam: float, L: float) -> complex:
@@ -466,16 +462,14 @@ def jordan_structure(
     """2x2 jet representation of ϑ(λ) at the double zero of a synthetic g.
 
     The matrix is c (I + N) with c = λ^{-2 pi i / L0} and N strictly lower
-    triangular, N[1,0] = 2 pi i ln(λ) / L0^2. N² = 0 holds exactly; the
-    cocycle law (I+N(u))(I+N(v)) = I+N(uv) at (2,3) and the entry's
-    finite-difference cross-check are verified numerically. Order-0 action
-    on the supplied section is compared exactly; the order-1 row is
-    cross-checked against grid differences of the multiplied samples, whose
-    accuracy is limited by the grid spacing against the multiplier's
-    oscillation, so that residual is reported at its honest scale.
+    triangular, N[1,0] = 2 pi i ln(λ) / L0^2. The entry is cross-checked by
+    finite differences of the multiplier. Order-0 action on the supplied
+    section is compared exactly; the order-1 row is cross-checked against
+    grid differences of the multiplied samples, whose accuracy is limited by
+    the grid spacing against the multiplier's oscillation, so that residual
+    is reported at its honest scale.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     if g.kind != "synthetic" or len(g.zeros) != 1 or g.zeros[0][1] != 2:
         raise ValueError("jordan_structure needs a synthetic double zero")
     L0 = g.zeros[0][0]
@@ -499,24 +493,15 @@ def jordan_structure(
     fd_rel = abs(fd - sym) / denom if lam != 1.0 else abs(fd - sym)
 
     # action on the section's order-2 jet at L0
-    jets_before = _jet(section.grid, section.f_plus, L0, 1)
-    moved = theta_on_sections(lam, section)
-    jets_after = _jet(moved.grid, moved.f_plus, L0, 1)
+    stencil = _stencil(section.grid, L0, 1)
+    jets_before = _jet(stencil, section.f_plus)
+    jets_after = _jet(stencil, theta_on_sections(lam, section).f_plus)
     predicted = M @ np.array(jets_before)
     scale0 = max(abs(predicted[0]), 1.0)
     order0 = abs(jets_after[0] - predicted[0]) / scale0
     scale1 = max(abs(predicted[1]), 1.0)
     order1 = abs(jets_after[1] - predicted[1]) / scale1
 
-    # cocycle at (2, 3) against 6
-    Nu = np.array([[0.0, 0.0], [2j * math.pi * math.log(2.0) / (L0 * L0), 0.0]])
-    Nv = np.array([[0.0, 0.0], [2j * math.pi * math.log(3.0) / (L0 * L0), 0.0]])
-    Nuv = np.array([[0.0, 0.0], [2j * math.pi * math.log(6.0) / (L0 * L0), 0.0]])
-    lhs = (np.eye(2) + Nu) @ (np.eye(2) + Nv)
-    rhs = np.eye(2) + Nuv
-    cocycle = float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1.0)
-
-    nsq = float(np.max(np.abs(N @ N)))
     return JordanReport(
         L0=L0,
         lam=lam,
@@ -526,6 +511,4 @@ def jordan_structure(
         fd_rel_error=fd_rel,
         order0_residual=order0,
         order1_rel_error=order1,
-        cocycle_residual=cocycle,
-        nilpotent_sq_max=nsq,
     )

@@ -385,6 +385,36 @@ class TestJets:
             parts = line.split(",")
             assert float(parts[4]) == 0.0 and float(parts[5]) == 0.0
 
+    @pytest.mark.parametrize(
+        "field,index,value",
+        [
+            ("vanishing_order_at_zero", None, None),
+            ("vanishing_order_at_zero", None, [6]),
+            ("vanishing_order_at_zero", None, 2.5),
+            ("grid", -3, math.nan),
+            ("grid", -1, math.inf),
+        ],
+    )
+    def test_malformed_section_exits_usage(self, tmp_path, capsys, field, index, value):
+        """A section file with a non-integer order or a non-finite grid point
+        is rejected with exit 2 and one line, not a traceback or a report."""
+        seed_cache(20.0)
+        grid = build_section_grid(20.0, [ZetaZero(ZERO_ORDINATES[0], 1, 1e-9)])
+        payload = section_to_payload(
+            GlobalSection(grid, np.ones(grid.size), np.ones(grid.size))
+        )
+        if index is None:
+            payload[field] = value
+        else:
+            payload[field][index] = value
+        section_file = tmp_path / "section.json"
+        section_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("--t-max", "20", "jets", str(section_file)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "reports" / "jets.csv").exists()
+
     def test_missing_section_file(self, capsys):
         seed_cache(20.0)
         assert run("--t-max", "20", "jets", "absent.json") == cli.EXIT_USAGE

@@ -3,10 +3,15 @@ the scaling action, and its Jordan block at a double zero."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zetacycles import sheaf
 from zetacycles.operators import covering_sigma
 from zetacycles.sheaf import (
     GlobalSection,
@@ -41,6 +46,11 @@ def smooth_plus(L):
 
 def smooth_minus(L):
     return math.cos(2.0 * L) - 0.25j * L
+
+
+def theta_minus(L):
+    """The minus slot of criterion 8's theta section; smooth_plus is its plus slot."""
+    return math.cos(2.0 * L) + 3.0 - 0.25j * L
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +95,25 @@ class TestGlobalSection:
             GlobalSection(grid[::-1], ones, ones)
         with pytest.raises(ValueError):
             GlobalSection(grid, ones, ones, vanishing_order_at_zero=-1)
+        near = grid.copy()
+        near[4] = near[3] * (1.0 + 1e-10)  # stencils need nodes 1e-9 apart
+        with pytest.raises(ValueError):
+            GlobalSection(near, ones, ones)
+        with pytest.raises(ValueError):
+            SampledFunction(near, ones)
+        for bad in (math.nan, math.inf, -math.inf):
+            broken = grid.copy()
+            broken[3] = bad
+            samples = ones.astype(complex)
+            samples[3] = complex(0.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                GlobalSection(broken, ones, ones)
+            with pytest.raises(ValueError, match="finite"):
+                SampledFunction(broken, ones)
+            with pytest.raises(ValueError, match="finite"):
+                GlobalSection(grid, ones, samples)
+            with pytest.raises(ValueError, match="finite"):
+                SampledFunction(grid, samples)
 
     def test_zero_extension_below_grid(self):
         grid = np.linspace(1.0, 2.0, 16)
@@ -103,6 +132,32 @@ class TestGlobalSection:
     def test_interpolates_nodes_exactly(self, section, section_grid):
         j = section_grid.size // 2
         assert section.eval_plus(float(section_grid[j])) == section.f_plus[j]
+
+    def test_off_grid_values_match_the_sampled_functions(self, section_grid):
+        """Between nodes both slots are read through the local stencil, which
+        misses criterion 8's theta section by about 1.3e-6 on this grid (a
+        cubic spline missed by 7.1e-4)."""
+        theta = make_section(smooth_plus, theta_minus, section_grid)
+        rng = np.random.default_rng(6)
+        worst = 0.0
+        for L in rng.uniform(section_grid[0], section_grid[-1], size=500):
+            L = float(L)
+            worst = max(worst, abs(theta.eval_plus(L) - smooth_plus(L)),
+                        abs(theta.eval_minus(L) - theta_minus(L)))
+        assert worst <= 1e-5
+
+    def test_off_grid_evaluation_leaves_scipy_interpolate_unloaded(self):
+        code = (
+            "import sys, numpy as np; from zetacycles.sheaf import make_section; "
+            "s = make_section(np.sin, np.cos, np.linspace(1.0, 2.0, 16)); "
+            "s.eval_plus(1.2345); s.eval_minus(1.6789); "
+            "print('scipy.interpolate' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sheaf.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSerialization:
@@ -130,9 +185,14 @@ class TestSerialization:
         back = section_from_payload(json.loads(json.dumps(payload)))
         assert back.vanishing_order_at_zero == 0
 
-    def test_malformed_payload(self):
+    def test_malformed_payload(self, section):
         with pytest.raises(ValueError):
             section_from_payload({"grid": [1.0, 2.0]})
+        payload = section_to_payload(section)
+        for order in (None, [6], "6", 2.5, True):
+            payload["vanishing_order_at_zero"] = order
+            with pytest.raises(ValueError, match="vanishing_order_at_zero"):
+                section_from_payload(payload)
 
 
 class TestCirclesAndCovering:
@@ -190,8 +250,9 @@ class TestScalingAction:
         assert np.array_equal(moved.f_minus, section.f_minus)
 
     def test_validation(self, section):
-        with pytest.raises(ValueError):
-            theta_on_sections(0.0, section)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                theta_on_sections(lam, section)
 
 
 class TestJets:
@@ -368,8 +429,10 @@ class TestJordanStructure:
         assert report.nilpotent[1, 0] == expected_n21
         assert report.nilpotent[0, 1] == 0.0
         assert np.array_equal(report.matrix, c * (np.eye(2) + report.nilpotent))
-        assert report.nilpotent_sq_max == 0.0
-        assert report.cocycle_residual <= 1e-10
+        assert np.array_equal(report.nilpotent @ report.nilpotent, np.zeros((2, 2)))
+        M = {lam: jordan_structure(lam, section, g).matrix for lam in (2.0, 3.0, 6.0)}
+        cocycle = np.max(np.abs(M[2.0] @ M[3.0] - M[6.0])) / max(np.max(np.abs(M[6.0])), 1.0)
+        assert cocycle <= 1e-10
         assert report.fd_rel_error <= 1e-10
         assert report.order0_residual <= 1e-10
         assert report.order1_rel_error <= 1e-9
@@ -387,8 +450,9 @@ class TestJordanStructure:
         assert report.order1_rel_error == 0.0
 
     def test_validation(self, section, zeros60):
-        with pytest.raises(ValueError):
-            jordan_structure(-2.0, section, synthetic_generator(0.75, 2))
+        for lam in (-2.0, math.nan):
+            with pytest.raises(ValueError):
+                jordan_structure(lam, section, synthetic_generator(0.75, 2))
         with pytest.raises(ValueError):
             jordan_structure(2.0, section, synthetic_generator(0.75, 1))
         with pytest.raises(ValueError):
