@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +51,11 @@ class RunConfig:
     output_dir: str = "reports"
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0.0 or self.tol <= 0.0 or self.scan_step <= 0.0:
-            raise ConfigError("t_max, tol, and scan_step must be positive")
+        if not all(0.0 < x < math.inf for x in (self.t_max, self.tol, self.scan_step)):
+            raise ConfigError("t_max, tol, and scan_step must be positive and finite")
         lo, hi = self.L_window
-        if not (0.0 < lo < hi):
-            raise ConfigError("L_window must be an ordered positive pair")
+        if not (0.0 < lo < hi < math.inf):
+            raise ConfigError("L_window must be an ordered positive finite pair")
         if not self.family_ks:
             raise ConfigError("family_ks must be nonempty")
         if any(k < 0 for k in self.family_ks):
@@ -69,27 +69,30 @@ class RunConfig:
         return path
 
 
-_INT_TUPLE_KEYS = {"family_ks"}
-_FLOAT_PAIR_KEYS = {"L_window"}
-_FLOAT_KEYS = {"t_max", "tol", "scan_step"}
-_STR_KEYS = {"cache_path", "output_dir"}
-_ALL_KEYS = _INT_TUPLE_KEYS | _FLOAT_PAIR_KEYS | _FLOAT_KEYS | _STR_KEYS
+def _float_pair(raw: str) -> tuple[float, float]:
+    parts = [float(p) for p in raw.replace(",", " ").split()]
+    if len(parts) != 2:
+        raise ValueError("expected two numbers")
+    return parts[0], parts[1]
+
+
+# each RunConfig field and the parser of its text, for config lines and flags alike
+_FIELDS = {
+    "t_max": float,
+    "tol": float,
+    "family_ks": lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()),
+    "L_window": _float_pair,
+    "scan_step": float,
+    "cache_path": str,
+    "output_dir": str,
+}
 
 
 def _coerce(key: str, raw: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(p) for p in raw.replace(",", " ").split())
-        if key in _FLOAT_PAIR_KEYS:
-            parts = [float(p) for p in raw.replace(",", " ").split()]
-            if len(parts) != 2:
-                raise ValueError("expected two numbers")
-            return (parts[0], parts[1])
+        return _FIELDS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-    return raw
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -103,21 +106,18 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw.strip())
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """File values first, then flag overrides; flags win."""
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = _coerce(f.name, flag) if isinstance(flag, str) else flag
+    """File values first, then the flags that were given; flags win."""
+    values = parse_config_file(args.config) if args.config else {}
+    for key in _FIELDS:
+        if getattr(args, key) is not None:
+            values[key] = _coerce(key, getattr(args, key))
     return RunConfig(**values)
 
 
@@ -125,11 +125,14 @@ def _meta_path(cache: Path) -> Path:
     return cache.with_suffix(cache.suffix + ".meta.json")
 
 
-def _covered_t_max(meta_file: Path) -> float | None:
-    """The t_max a cache's sidecar records, or None (coverage unknown) when
-    the sidecar is missing, or is not an object with a finite numeric t_max."""
+def _covered_t_max(cache: Path) -> float | None:
+    """The t_max a cache's sidecar records, or None (coverage unknown) when the
+    cache or its sidecar is missing, or the sidecar is not an object with a
+    finite numeric t_max."""
+    if not cache.exists():
+        return None
     try:
-        meta = json.loads(meta_file.read_text())
+        meta = json.loads(_meta_path(cache).read_text())
     except (FileNotFoundError, ValueError):
         return None
     t_max = meta.get("t_max") if isinstance(meta, dict) else None
@@ -140,11 +143,6 @@ def _covered_t_max(meta_file: Path) -> float | None:
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
-def _write_runtime(out_dir: Path, command: str, seconds: float, extra=None) -> None:
-    payload = {"command": command, "seconds": seconds, **(extra or {})}
-    _write_json(out_dir / f"{command}_runtime.json", payload)
 
 
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
@@ -158,11 +156,10 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
         raise MissingCacheError(
             f"zero cache {cache} not found; run `zetacycles zeros` first"
         )
-    meta_file = _meta_path(cache)
-    covered = _covered_t_max(meta_file)
+    covered = _covered_t_max(cache)
     if covered is None:  # an interrupted `zeros`, or a damaged sidecar
         raise MissingCacheError(
-            f"zero cache {cache} has no readable t_max in {meta_file.name};"
+            f"zero cache {cache} has no readable t_max in {_meta_path(cache).name};"
             " rerun `zetacycles zeros`"
         )
     if covered < cfg.t_max:
@@ -173,36 +170,34 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
     return specfun.read_zero_cache(cache)
 
 
-def cmd_zeros(cfg: RunConfig) -> int:
+# A command takes the config and the parsed arguments, and returns its exit code
+# and the entries it adds to <command>_runtime.json, which main writes.
+
+
+def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     """Materialize the critical zeros up to t_max; idempotent per range."""
-    t0 = time.perf_counter()
     cache = cfg.resolved_cache_path()
-    out_dir = Path(cfg.output_dir)
-    meta_file = _meta_path(cache)
-    covered = _covered_t_max(meta_file)
-    reused = cache.exists() and covered is not None and covered >= cfg.t_max
+    covered = _covered_t_max(cache)
+    reused = covered is not None and covered >= cfg.t_max
     zeros = specfun.read_zero_cache(cache) if reused else specfun.find_zeros(0.0, cfg.t_max)
     if not reused:
         cache.parent.mkdir(parents=True, exist_ok=True)
         specfun.write_zero_cache(cache, zeros)
         meta = {"t_max": cfg.t_max, "count": len(zeros)}
-        with specfun.open_replacing(meta_file) as fh:  # the sidecar last, once the cache is whole
+        with specfun.open_replacing(_meta_path(cache)) as fh:  # the sidecar last, once the cache is whole
             fh.write(json.dumps(meta, indent=1, sort_keys=True) + "\n")
     _write_json(
-        out_dir / "zeros_report.json",
+        Path(cfg.output_dir) / "zeros_report.json",
         {"command": "zeros", "cache": str(cache), "count": len(zeros), "reused": reused},
     )
-    max_abs_error = max((z.abs_error for z in zeros), default=0.0)
-    _write_runtime(out_dir, "zeros", time.perf_counter() - t0, {"max_abs_error": max_abs_error})
-    return EXIT_OK
+    return EXIT_OK, {"max_abs_error": max((z.abs_error for z in zeros), default=0.0)}
 
 
 def _family(cfg: RunConfig) -> list[schwartz.TestFunction]:
     return [schwartz.make_test_function(k) for k in cfg.family_ks]
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     out_dir = Path(cfg.output_dir)
     zeros = load_zeros(cfg)
     lo, hi = cfg.L_window
@@ -220,15 +215,12 @@ def cmd_scan(cfg: RunConfig) -> int:
     )
     stats = dict(result.runtime_stats)
     stats["profile_seconds"] = stats.pop("seconds")
-    _write_runtime(out_dir, "scan", time.perf_counter() - t0, stats)
-    return EXIT_OK
+    return EXIT_OK, stats
 
 
-def cmd_detect(cfg: RunConfig, L: float) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.output_dir)
+def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     zeros = load_zeros(cfg)
-    report = cycles.detect(L, _family(cfg), cfg.t_max, cfg.tol, zeros=zeros)
+    report = cycles.detect(args.L, _family(cfg), cfg.t_max, cfg.tol, zeros=zeros)
     payload = {
         "command": "detect",
         "L": report.L,
@@ -247,9 +239,8 @@ def cmd_detect(cfg: RunConfig, L: float) -> int:
         ],
         "zeta_scores": {str(n): v for n, v in sorted(report.zeta_scores.items())},
     }
-    _write_json(out_dir / "detect.json", payload)
-    _write_runtime(out_dir, "detect", time.perf_counter() - t0)
-    return EXIT_OK
+    _write_json(Path(cfg.output_dir) / "detect.json", payload)
+    return EXIT_OK, {}
 
 
 def _verify_checks(cfg: RunConfig) -> list[dict]:
@@ -285,21 +276,17 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.output_dir)
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     checks = _verify_checks(cfg)
     all_pass = all(c["pass"] for c in checks)
     _write_json(
-        out_dir / "verify.json",
+        Path(cfg.output_dir) / "verify.json",
         {"command": "verify", "checks": checks, "all_pass": all_pass},
     )
-    _write_runtime(out_dir, "verify", time.perf_counter() - t0)
-    return EXIT_OK if all_pass else EXIT_ASSERTION
+    return (EXIT_OK if all_pass else EXIT_ASSERTION), {}
 
 
-def cmd_laplacian(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_laplacian(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     out_dir = Path(cfg.output_dir)
     zeros = load_zeros(cfg)
     rows = laplacian.negativity_rows(zeros)
@@ -309,14 +296,12 @@ def cmd_laplacian(cfg: RunConfig) -> int:
         writer.writerow(["ordinate", "eigenvalue", "negativity_ok"])
         for ordinate, value, ok in rows:
             writer.writerow([f"{ordinate:.14f}", f"{value:.16e}", ok])
-    _write_runtime(out_dir, "laplacian", time.perf_counter() - t0)
-    return EXIT_OK if all(ok for _, _, ok in rows) else EXIT_ASSERTION
+    return (EXIT_OK if all(ok for _, _, ok in rows) else EXIT_ASSERTION), {}
 
 
-def cmd_jets(cfg: RunConfig, section_path: str) -> int:
-    t0 = time.perf_counter()
+def cmd_jets(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     out_dir = Path(cfg.output_dir)
-    path = Path(section_path)
+    path = Path(args.section)
     if not path.exists():
         raise MissingCacheError(f"section file {path} not found")
     zeros = load_zeros(cfg)
@@ -324,23 +309,35 @@ def cmd_jets(cfg: RunConfig, section_path: str) -> int:
     jets = sheaf.quotient_jets(section, zeros)
     out_dir.mkdir(parents=True, exist_ok=True)
     sheaf.write_jet_csv(out_dir / "jets.csv", jets)
-    _write_runtime(out_dir, "jets", time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, {}
+
+
+_COMMANDS = {
+    "zeros": cmd_zeros,
+    "scan": cmd_scan,
+    "detect": cmd_detect,
+    "verify": cmd_verify,
+    "laplacian": cmd_laplacian,
+    "jets": cmd_jets,
+}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, which main turns into exit 2
+    and one line, in place of argparse's usage text and SystemExit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="zetacycles",
         description="Detection of zeta cycles and the associated spectral reports.",
     )
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--family-ks", dest="family_ks", help="e.g. 0,1,2")
-    parser.add_argument("--L-window", dest="L_window", help="e.g. 0.40,0.46")
-    parser.add_argument("--scan-step", dest="scan_step", type=float)
-    parser.add_argument("--cache-path", dest="cache_path")
-    parser.add_argument("--output-dir", dest="output_dir")
+    for key in _FIELDS:  # --t-max for t_max, and so on; read as the config line would be
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("zeros", help="compute and cache critical zeros up to t_max")
     sub.add_parser("scan", help="scan the L window and match its dips to the cached zeros")
@@ -353,20 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         cfg = build_config(args)
-        commands = {
-            "zeros": cmd_zeros,
-            "scan": cmd_scan,
-            "detect": lambda cfg: cmd_detect(cfg, args.L),
-            "verify": cmd_verify,
-            "laplacian": cmd_laplacian,
-            "jets": lambda cfg: cmd_jets(cfg, args.section),
-        }
-        return commands[args.command](cfg)
+        started = time.perf_counter()
+        code, extra = _COMMANDS[args.command](cfg, args)
+        runtime = {"command": args.command, "seconds": time.perf_counter() - started, **extra}
+        _write_json(Path(cfg.output_dir) / f"{args.command}_runtime.json", runtime)
+        return code
     except (ConfigError, MissingCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

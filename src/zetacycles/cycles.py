@@ -142,14 +142,14 @@ def detect(
     The rows are the modes n != 0 with frequency |2 pi n / L| <= t_max; a row
     is flagged when its score |zeta(1/2 + 2 pi i n / L)| is below tol.
     """
-    if L <= 0.0:
-        raise ValueError("circle length L must be positive")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"circle length L must be positive and finite, got {L}")
     if not family:
         raise ValueError("family must be nonempty")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     n_modes, scores = _row_data(L, family, t_max)
     zeta_scores = dict(zip(range(-n_modes, n_modes + 1), scores))
     flagged = [n for n, score in zeta_scores.items() if n != 0 and score < tol]
@@ -192,6 +192,9 @@ def scan(
     for its sign only, outside the profile and zeta_points; listed zeros above
     t_max are dropped. The family's Mellin factors meet _PSI_FLOOR at each t_k.
     """
+    for name, value in (("L_min", L_min), ("L_max", L_max), ("step", step), ("t_max", t_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
     if step <= 0.0:

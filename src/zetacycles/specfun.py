@@ -512,14 +512,15 @@ def finite_difference_weights(x0: float, nodes: np.ndarray, max_order: int) -> n
     Fornberg's recurrence on arbitrary (distinct) nodes; exact up to float
     rounding, accuracy order len(nodes) - max_order.
     """
-    x = np.asarray(nodes, dtype=np.float64)
+    x = np.asarray(nodes, dtype=np.float64).tolist()  # Python floats: same arithmetic, no numpy scalars
+    x0 = float(x0)
     n = len(x)
     if n == 0:
         raise ValueError("need at least one node")
-    c = np.zeros((n, max_order + 1))
+    w = [[0.0] * n for _ in range(max_order + 1)]  # w[k][i]
     c1 = 1.0
     c4 = x[0] - x0
-    c[0, 0] = 1.0
+    w[0][0] = 1.0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
@@ -530,13 +531,13 @@ def finite_difference_weights(x0: float, nodes: np.ndarray, max_order: int) -> n
             c2 *= c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    w[k][i] = c1 * (k * w[k - 1][i - 1] - c5 * w[k][i - 1]) / c2
+                w[0][i] = -c1 * c5 * w[0][i - 1] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                w[k][j] = (c4 * w[k][j] - k * w[k - 1][j]) / c3
+            w[0][j] = c4 * w[0][j] / c3
         c1 = c2
-    return c.T.copy()
+    return np.array(w)
 
 
 _JET_STEP = 0.03

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior in throwaway directories."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
-from zetacycles import cli, specfun
+from zetacycles import cli, laplacian, operators, specfun
 from zetacycles.sheaf import build_section_grid, section_to_payload, GlobalSection
 from zetacycles.specfun import ZetaZero
 
@@ -61,6 +62,14 @@ class TestConfig:
             cli.RunConfig(L_window=(0.5, 0.4))
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(family_ks=())
+        for bad in (math.nan, math.inf, -math.inf):
+            for key in ("t_max", "tol", "scan_step"):
+                with pytest.raises(cli.ConfigError, match="finite"):
+                    cli.RunConfig(**{key: bad})
+            with pytest.raises(cli.ConfigError, match="finite"):
+                cli.RunConfig(L_window=(0.4, bad))
+            with pytest.raises(cli.ConfigError, match="finite"):
+                cli.RunConfig(L_window=(bad, 0.46))
         with pytest.raises(TypeError):
             cli.RunConfig(threads=1)  # the knob had no effect and is gone
 
@@ -95,9 +104,47 @@ class TestConfig:
         err = capsys.readouterr().err
         assert ":1:" in err and "key = value" in err
 
-    def test_bad_flag_value(self):
+    def test_bad_flag_value(self, tmp_path, capsys):
+        """A bad value, non-finite ones included, exits 2 with one line naming
+        its key, given as a flag or as a config line alike."""
+        bad = [
+            ("family_ks", "0,x"), ("tol", "-1"), ("t_max", "abc"),
+            ("t_max", "nan"), ("t_max", "inf"), ("tol", "nan"), ("tol", "inf"),
+            ("scan_step", "nan"), ("scan_step", "inf"), ("scan_step", "-inf"),
+            ("L_window", "0.4,inf"), ("L_window", "nan,0.46"), ("L_window", "0.4"),
+        ]
         assert run("--family-ks", "0,x", "zeros") == cli.EXIT_USAGE
         assert run("--tol", "-1", "zeros") == cli.EXIT_USAGE
+        capsys.readouterr()
+        assert run("--t-max", "abc", "zeros") == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad value for t_max: 'abc'")
+        config = tmp_path / "run.cfg"
+        for key, raw in bad:
+            config.write_text(f"{key} = {raw}\n")
+            flag = "--" + key.replace("_", "-")
+            for argv in ([f"{flag}={raw}"], ["--config", str(config)]):
+                capsys.readouterr()
+                assert run(*argv, "zeros") == cli.EXIT_USAGE, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+                assert key in err, argv
+        assert not (tmp_path / "zeros.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--t-max"], ["detect"], ["detect", "abc"], ["--bogus", "1", "verify"],
+    ], ids=["no_command", "unknown_command", "flag_without_value", "missing_length",
+            "bad_length", "unknown_flag"])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        """argparse's usage errors exit 2 with one line too; none raises out of main."""
+        assert run(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_one_field_table(self):
+        """Config keys and flags both come from _FIELDS, one entry per RunConfig field."""
+        assert list(cli._FIELDS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+        flags = {a.dest for a in cli._PARSER._actions if a.option_strings}
+        assert flags == {"help", "config", *cli._FIELDS}
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -269,6 +316,16 @@ class TestDetect:
         assert payload["verdict"] is False
         assert payload["flagged"] == []
 
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_length_exits_2(self, tmp_path, capsys, length):
+        seed_cache(20.0)
+        capsys.readouterr()
+        assert run("--t-max", "20", "detect", length) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: circle length L") and err.count("\n") == 1
+        assert not (tmp_path / "reports" / "detect.json").exists()
+        assert not (tmp_path / "reports" / "detect_runtime.json").exists()
+
 
 class TestScan:
     def test_deterministic_reports(self, tmp_path):
@@ -419,3 +476,59 @@ class TestJets:
         seed_cache(20.0)
         assert run("--t-max", "20", "jets", "absent.json") == cli.EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+
+class TestRunner:
+    """main times each command and writes <command>_runtime.json from the
+    exit code and entries the command returns."""
+
+    def runtime(self, tmp_path, command: str) -> dict:
+        return json.loads((tmp_path / "reports" / f"{command}_runtime.json").read_text())
+
+    def test_every_command_writes_its_runtime(self, tmp_path):
+        seed_cache(20.0)
+        grid = build_section_grid(20.0, [ZetaZero(ZERO_ORDINATES[0], 1, 1e-9)])
+        section = GlobalSection(grid, np.zeros(grid.size), np.zeros(grid.size))
+        section_file = tmp_path / "section.json"
+        section_file.write_text(json.dumps(section_to_payload(section)))
+        argvs = {
+            "zeros": ["--t-max", "20", "zeros"],
+            "scan": ["--t-max", "20", "--L-window", "0.443,0.446", "--scan-step", "1e-3", "scan"],
+            "detect": ["--t-max", "20", "detect", repr(L_STAR)],
+            "verify": ["verify"],
+            "laplacian": ["--t-max", "20", "laplacian"],
+            "jets": ["--t-max", "20", "jets", str(section_file)],
+        }
+        extra = {
+            "zeros": {"max_abs_error"},
+            "scan": {"profile_seconds", "zeta_points", "zeta_blocks", "edge_points",
+                     "grid_points", "dips"},
+        }
+        assert set(argvs) == set(cli._COMMANDS)
+        for command, argv in argvs.items():
+            assert run(*argv) == cli.EXIT_OK
+            runtime = self.runtime(tmp_path, command)
+            assert set(runtime) == {"command", "seconds", *extra.get(command, ())}
+            assert runtime["command"] == command and runtime["seconds"] > 0.0
+
+    def test_failed_assertion_writes_runtime(self, tmp_path, monkeypatch):
+        seed_cache(20.0)
+        monkeypatch.setattr(operators, "trace_identity_check", lambda f, u: 1.0)
+        assert run("verify") == cli.EXIT_ASSERTION
+        monkeypatch.setattr(laplacian, "negativity_rows", lambda zeros: [(14.13, 1.0, False)])
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_ASSERTION
+        for command in ("verify", "laplacian"):
+            runtime = self.runtime(tmp_path, command)
+            assert set(runtime) == {"command", "seconds"} and runtime["command"] == command
+
+    def test_usage_exit_writes_no_runtime(self, tmp_path):
+        assert run("--t-max", "20", "scan") == cli.EXIT_USAGE  # no cache yet
+        seed_cache(20.0)
+        (tmp_path / "reports" / "zeros_runtime.json").unlink()
+        assert run("--t-max", "300", "zeros") == cli.EXIT_USAGE  # past VALIDATED_T_MAX
+        assert run("--t-max", "20", "--tol", "nan", "detect", "1.0") == cli.EXIT_USAGE
+        assert not list((tmp_path / "reports").glob("*_runtime.json"))
+
+    def test_parser_built_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert run("--t-max", "5", "zeros") == cli.EXIT_OK

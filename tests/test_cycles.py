@@ -94,6 +94,13 @@ class TestDetect:
             detect(1.0, family, tol=0.0)
         with pytest.raises(ValueError, match="t_max must be positive"):
             detect(1.0, family, t_max=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="L must be positive and finite"):
+                detect(bad, family)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                detect(1.0, family, tol=bad)
+            with pytest.raises(ValueError, match="t_max must be positive and finite"):
+                detect(1.0, family, t_max=bad)
 
     def test_short_length_returns_verdict(self, family):
         # the rows stop at t_max: a short circle has few of them, all validated
@@ -142,6 +149,15 @@ class TestScan:
             scan(0.5, 0.4, 1e-3, family)
         with pytest.raises(ValueError):
             scan(0.4, 0.5, -1e-3, family)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="L_min must be finite"):
+                scan(bad, 0.5, 1e-3, family)
+            with pytest.raises(ValueError, match="L_max must be finite"):
+                scan(0.4, bad, 1e-3, family)
+            with pytest.raises(ValueError, match="step must be finite"):
+                scan(0.4, 0.5, bad, family)
+            with pytest.raises(ValueError, match="t_max must be finite"):
+                scan(0.4, 0.5, 1e-3, family, t_max=bad)
 
     def test_no_row_below_t_max(self, family):
         with pytest.raises(ValueError, match="no row frequency below t_max"):
