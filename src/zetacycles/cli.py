@@ -53,13 +53,21 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not all(0.0 < x < math.inf for x in (self.t_max, self.tol, self.scan_step)):
             raise ConfigError("t_max, tol, and scan_step must be positive and finite")
+        if self.t_max > specfun.VALIDATED_T_MAX:  # no cache can cover it: `zeros` would fail too
+            raise ConfigError(
+                f"t_max = {self.t_max:g} exceeds the validated range of the zeros,"
+                f" VALIDATED_T_MAX = {specfun.VALIDATED_T_MAX:g}"
+            )
         lo, hi = self.L_window
         if not (0.0 < lo < hi < math.inf):
             raise ConfigError("L_window must be an ordered positive finite pair")
         if not self.family_ks:
             raise ConfigError("family_ks must be nonempty")
-        if any(k < 0 for k in self.family_ks):
-            raise ConfigError("family_ks entries must be nonnegative")
+        for k in self.family_ks:
+            try:
+                schwartz.make_test_function(k)
+            except ValueError as exc:
+                raise ConfigError(f"family_ks: {exc}") from exc
 
     def resolved_cache_path(self) -> Path:
         path = Path(self.cache_path)
@@ -146,11 +154,6 @@ def _write_json(path: Path, payload) -> None:
 
 
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
-    if cfg.t_max > specfun.VALIDATED_T_MAX:  # no cache can cover it: `zeros` would fail too
-        raise ConfigError(
-            f"t_max = {cfg.t_max:g} exceeds the validated range of the zeros,"
-            f" VALIDATED_T_MAX = {specfun.VALIDATED_T_MAX:g}"
-        )
     cache = cfg.resolved_cache_path()
     if not cache.exists():
         raise MissingCacheError(
@@ -248,13 +251,11 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     gaps = {}
     for f in family:
         for L in (0.8, 1.0, math.log(4.0)):
-            direct = operators.fourier_direct(f, L, N=32)
-            closed = operators.fourier_closed(f, L, N=32)
-            ref = max(abs(closed.coeff(n)) for n in range(-32, 33))
-            diff = max(
-                abs(direct.coeff(n) - closed.coeff(n)) for n in range(-32, 33)
-            )
-            gaps[f.label, L] = diff / ref
+            direct = operators.fourier_direct(f, L, N=32).coeffs
+            closed = operators.fourier_closed(f, L, N=32).coeffs
+            # Python's complex abs: numpy's can differ from it in the last bit
+            diff = max(map(abs, (direct - closed).tolist()))
+            gaps[f.label, L] = diff / max(map(abs, closed.tolist()))
     (label, L), fourier = max(gaps.items(), key=lambda item: item[1])
     rng = np.random.default_rng(20260814)
     points = [(family[int(rng.integers(len(family)))], float(rng.uniform(0.05, 4.0)))
@@ -353,9 +354,23 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _length_operand(argv: list[str]) -> list[str]:
+    """argv with `--` before a detect length that starts with `-` and reads
+    as a float (`-1e-3`, `-inf`), which argparse would take for an option."""
+    for i, (arg, length) in enumerate(zip(argv, argv[1:])):
+        if arg == "detect" and length.startswith("-"):
+            try:
+                float(length)
+            except ValueError:
+                continue
+            return argv[: i + 1] + ["--"] + argv[i + 1 :]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_length_operand(argv))
         cfg = build_config(args)
         started = time.perf_counter()
         code, extra = _COMMANDS[args.command](cfg, args)

@@ -11,6 +11,7 @@ the whole pipeline.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,6 @@ from .specfun import zeta_critical_many
 __all__ = [
     "CircleFunction",
     "InsufficientModesError",
-    "ResolutionError",
-    "TailBound",
-    "circle_from_payload",
-    "circle_to_payload",
     "covering_sigma",
     "eval_E",
     "fourier_closed",
@@ -36,62 +33,42 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-class ResolutionError(ValueError):
-    """Direct-transform grid too coarse for the requested mode count."""
-
-
 class InsufficientModesError(ValueError):
     """Covering map asked for more output modes than the input carries."""
 
 
-@dataclass(frozen=True)
-class TailBound:
-    terms_used: int
-    bound: float
-
-    def __post_init__(self) -> None:
-        if self.bound < 0.0:
-            raise ValueError("bound must be nonnegative")
+def _positive(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
-@dataclass(frozen=True)
+def _count(name: str, value: int) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class CircleFunction:
-    """Truncated Fourier data {c_n : |n| <= N} on the circle of length L."""
+    """Truncated Fourier data on the circle of length L: the row
+    c_-N, ..., c_N, with c_n at index n + N."""
 
     L: float
-    coeffs: dict[int, complex]
-    N: int
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.L <= 0.0:
-            raise ValueError("circle length L must be positive")
-        if self.N < 1:
-            raise ValueError("mode count N must be at least 1")
-        if any(abs(n) > self.N for n in self.coeffs):
-            raise ValueError("coefficient index outside [-N, N]")
+        object.__setattr__(self, "L", _positive("circle length L", self.L))
+        row = np.array(self.coeffs, dtype=complex)
+        if row.ndim != 1 or row.size < 3 or row.size % 2 == 0:
+            raise ValueError("coeffs must be a 1-D row of odd length at least 3")
+        object.__setattr__(self, "coeffs", row)
+
+    @property
+    def N(self) -> int:
+        return self.coeffs.size // 2
 
     def coeff(self, n: int) -> complex:
-        return self.coeffs.get(n, 0.0 + 0.0j)
-
-
-def circle_to_payload(xi: CircleFunction) -> dict:
-    return {
-        "L": xi.L,
-        "N": xi.N,
-        "coeffs": [[xi.coeff(n).real, xi.coeff(n).imag] for n in range(-xi.N, xi.N + 1)],
-    }
-
-
-def circle_from_payload(payload: dict) -> CircleFunction:
-    n_max = int(payload["N"])
-    pairs = payload["coeffs"]
-    if len(pairs) != 2 * n_max + 1:
-        raise ValueError("coefficient list length does not match N")
-    coeffs = {
-        n: complex(re, im)
-        for n, (re, im) in zip(range(-n_max, n_max + 1), pairs)
-    }
-    return CircleFunction(float(payload["L"]), coeffs, n_max)
+        return complex(self.coeffs[n + self.N]) if abs(n) <= self.N else 0.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +77,17 @@ def circle_from_payload(payload: dict) -> CircleFunction:
 _MAX_TAIL_TERMS = 1 << 24
 
 
-def eval_E(f: TestFunction, u: float, tol: float) -> tuple[float, TailBound]:
-    """Partial sum with a certified Gaussian tail bound.
+def eval_E(f: TestFunction, u: float, tol: float) -> tuple[float, float]:
+    """Partial sum and a certified bound on its Gaussian tail.
 
     The cutoff M doubles until C * integral_M^inf exp(-b u^2 x^2) dx < tol,
-    using the decay certificate (C, b); the reported bound is that integral
+    using the decay certificate (C, b); the returned bound is that integral
     scaled by u^(1/2), so it bounds the error of the returned value.
     """
-    u = float(u)
-    if u <= 0.0:
-        raise ValueError("u must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    u = _positive("u", u)
+    _positive("tol", tol)
     if f.is_zero:
-        return 0.0, TailBound(0, 0.0)
+        return 0.0, 0.0
     c_dec, b_dec = f.decay
     rb = math.sqrt(b_dec)
     prefactor = c_dec * math.sqrt(math.pi) / (2.0 * u * rb)
@@ -127,7 +101,7 @@ def eval_E(f: TestFunction, u: float, tol: float) -> tuple[float, TailBound]:
             raise ValueError(f"tail tolerance {tol:g} unattainable at u = {u:g}")
     args = np.arange(1, m + 1, dtype=np.float64) * u
     value = math.sqrt(u) * float(np.sum(f(args)))
-    return value, TailBound(m, math.sqrt(u) * tail)
+    return value, math.sqrt(u) * tail
 
 
 def trace_identity_check(f: TestFunction, u: float) -> float:
@@ -136,9 +110,7 @@ def trace_identity_check(f: TestFunction, u: float) -> float:
     The second path picks its own cutoff and accumulates scalar terms with
     compensated summation; no code is shared with eval_E's vectorized sum.
     """
-    u = float(u)
-    if u <= 0.0:
-        raise ValueError("u must be positive")
+    u = _positive("u", u)
     if f.is_zero:
         return 0.0
     e_value, _ = eval_E(f, u, 1e-17)
@@ -156,14 +128,12 @@ def trace_identity_check(f: TestFunction, u: float) -> float:
 def fourier_closed(f: TestFunction, L: float, N: int) -> CircleFunction:
     """c_n for |n| <= N on the array evaluators: zeta once for n >= 0, mirrored
     to n < 0 by conjugation, and psi_f on the whole row."""
-    if L <= 0.0:
-        raise ValueError("circle length L must be positive")
-    if N < 1:
-        raise ValueError("mode count N must be at least 1")
+    L = _positive("circle length L", L)
+    _count("mode count N", N)
     s = _TWO_PI * np.arange(-N, N + 1) / L
     zeta = zeta_critical_many(-s[N:])[0]  # zeta(1/2 - i s_n), n = 0..N
     row = L ** -0.5 * np.concatenate([zeta[:0:-1].conj(), zeta]) * mellin_psi_many(f, s)
-    return CircleFunction(L, dict(zip(range(-N, N + 1), row.tolist())), N)
+    return CircleFunction(L, row)
 
 
 # ---------------------------------------------------------------------------
@@ -242,32 +212,25 @@ def _gauss_edge(c: float, b: float) -> float:
     return y
 
 
-def fourier_direct(
-    f: TestFunction, L: float, N: int, grid_points: int | None = None
-) -> CircleFunction:
+def fourier_direct(f: TestFunction, L: float, N: int) -> CircleFunction:
     """Fourier coefficients of the periodized summation map, numerically.
 
-    The integrand is sampled on a log-uniform grid over one period (trapezoid
-    rule is spectrally accurate there) after summing the lattice translates
-    mu^k over the range of log v outside which each stays below 1e-17: above
-    it, sqrt(v) C exp(-b v^2) bounds E(f) by f's decay certificate (C, b);
-    below it, the Poisson form leaves v^(-1/2) sum_m fh(m/v), bounded alike by
-    fh's certificate with v -> 1/v, and -v^(1/2) f(0)/2, whose translates below
-    v_lo sum to at most |f(0)|/2 sqrt(v_lo) / (1 - e^(-L/2)). The sum converges
-    only for a mean-zero f: fh(0) at the rounding level of its own terms is
-    set to 0, and any other value raises a ValueError.
+    The integrand is sampled on a log-uniform grid of max(256, 64N) points
+    over one period (trapezoid rule is spectrally accurate there) after
+    summing the lattice translates mu^k over the range of log v outside which
+    each stays below 1e-17: above it, sqrt(v) C exp(-b v^2) bounds E(f) by f's
+    decay certificate (C, b); below it, the Poisson form leaves v^(-1/2) sum_m
+    fh(m/v), bounded alike by fh's certificate with v -> 1/v, and -v^(1/2)
+    f(0)/2, whose translates below v_lo sum to at most |f(0)|/2 sqrt(v_lo) /
+    (1 - e^(-L/2)). The sum converges only for a mean-zero f: fh(0) at the
+    rounding level of its own terms is set to 0, and any other value raises a
+    ValueError.
     """
-    if L <= 0.0:
-        raise ValueError("circle length L must be positive")
-    if N < 1:
-        raise ValueError("mode count N must be at least 1")
-    grid = grid_points if grid_points is not None else max(256, 64 * N)
-    if grid < 8 * N:
-        raise ResolutionError(
-            f"{grid} grid points resolve fewer than 8 samples for mode N = {N}"
-        )
+    L = _positive("circle length L", L)
+    _count("mode count N", N)
+    grid = max(256, 64 * N)
     if f.is_zero:
-        return CircleFunction(L, {n: 0.0 + 0.0j for n in range(-N, N + 1)}, N)
+        return CircleFunction(L, np.zeros(2 * N + 1))
     fhat, origin_scale = _fourier_coeffs_of(f)
     if abs(fhat[0]) > _MEAN_ROUNDING * origin_scale:
         raise ValueError(f"{f.label or 'function'} is not mean-zero (integral "
@@ -282,8 +245,7 @@ def fourier_direct(
     v = np.exp(shifts[:, None] + x[None, :])
     xi = np.sum(_eval_E_array(f, v, fhat), axis=0)
     spectrum = np.fft.fft(xi) * (math.sqrt(L) / grid)
-    coeffs = {n: complex(spectrum[n % grid]) for n in range(-N, N + 1)}
-    return CircleFunction(L, coeffs, N)
+    return CircleFunction(L, spectrum[np.arange(-N, N + 1) % grid])
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +254,7 @@ def fourier_direct(
 
 def covering_sigma(xi: CircleFunction, n: int) -> CircleFunction:
     """Push the circle of length n*L down to length L: out c_k = n^(1/2) c_{nk}."""
-    if n < 1:
-        raise ValueError("covering degree must be a positive integer")
+    _count("covering degree n", n)
     if n == 1:
         return xi
     out_n = xi.N // n
@@ -301,18 +262,10 @@ def covering_sigma(xi: CircleFunction, n: int) -> CircleFunction:
         raise InsufficientModesError(
             f"input carries N = {xi.N} modes, not enough for degree {n}"
         )
-    root = math.sqrt(n)
-    coeffs = {k: root * xi.coeff(n * k) for k in range(-out_n, out_n + 1)}
-    return CircleFunction(xi.L / n, coeffs, out_n)
+    return CircleFunction(xi.L / n, math.sqrt(n) * xi.coeffs[xi.N % n :: n])
 
 
 def scaling_theta(lam: float, xi: CircleFunction) -> CircleFunction:
     """Scale by lambda: the n-th coefficient picks up lambda^(-2 pi i n / L)."""
-    if lam <= 0.0:
-        raise ValueError("scaling parameter must be positive")
-    phase = -_TWO_PI * math.log(lam) / xi.L
-    coeffs = {
-        n: c * complex(math.cos(phase * n), math.sin(phase * n))
-        for n, c in xi.coeffs.items()
-    }
-    return CircleFunction(xi.L, coeffs, xi.N)
+    phase = -_TWO_PI * math.log(_positive("scaling parameter lambda", lam)) / xi.L
+    return CircleFunction(xi.L, xi.coeffs * np.exp(1j * phase * np.arange(-xi.N, xi.N + 1)))

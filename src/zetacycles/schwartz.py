@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -164,6 +164,7 @@ def apply_one_plus_H(f: TestFunction) -> TestFunction:
     return TestFunction(tuple(out), label=f"(1+H)({f.label})")
 
 
+@cache  # a TestFunction is immutable, so each member is built once
 def make_test_function(k: int) -> TestFunction:
     """f_k = H(1+H) g_k: even, f_k(0) = 0, integral over the line 0.
 

@@ -140,6 +140,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_unvalidated_range(self, capsys):
+        """No cache can cover t_max past VALIDATED_T_MAX, so RunConfig rejects it."""
+        with pytest.raises(cli.ConfigError, match="VALIDATED_T_MAX = 260"):
+            cli.RunConfig(t_max=300.0)
+        assert run("--t-max", "300", "zeros") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max = 300 exceeds") and err.count("\n") == 1
+
+    def test_unknown_family_member(self, capsys):
+        """family_ks is checked by make_test_function, at both ends of its range."""
+        for ks in ((9,), (-1,), (0, 1, 9)):
+            with pytest.raises(cli.ConfigError, match=r"family_ks: .* in \[0, 8\]"):
+                cli.RunConfig(family_ks=ks)
+        for raw in ("9", "-1"):
+            for command in ("zeros", "verify"):
+                assert run(f"--family-ks={raw}", command) == cli.EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith("error: family_ks: ") and err.count("\n") == 1
+        assert not Path("zeros.csv").exists()
+
     def test_one_field_table(self):
         """Config keys and flags both come from _FIELDS, one entry per RunConfig field."""
         assert list(cli._FIELDS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
@@ -169,11 +189,6 @@ class TestConfig:
 class TestLibraryErrors:
     """Errors the library raises end in exit 2 and one line on stderr."""
 
-    def test_unvalidated_range(self, capsys):
-        assert run("--t-max", "300", "zeros") == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: AccuracyError:") and err.count("\n") == 1
-
     def test_bad_gram_point(self, capsys, monkeypatch):
         exact = specfun.rotate_to_Z
         monkeypatch.setattr(specfun, "rotate_to_Z", lambda t, zeta: -exact(t, zeta))
@@ -181,11 +196,6 @@ class TestLibraryErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: AccuracyError: Gram's law fails at g_-1")
         assert err.count("\n") == 1
-
-    def test_unknown_family_member(self, capsys):
-        assert run("--family-ks", "9", "verify") == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError:") and err.count("\n") == 1
 
 
 class TestZeros:
@@ -325,6 +335,23 @@ class TestDetect:
         assert err.startswith("error: ValueError: circle length L") and err.count("\n") == 1
         assert not (tmp_path / "reports" / "detect.json").exists()
         assert not (tmp_path / "reports" / "detect_runtime.json").exists()
+
+    @pytest.mark.parametrize("length", ["-1e-3", "-inf", "-0.5"])
+    def test_negative_length_reaches_detect(self, tmp_path, capsys, length):
+        """A length starting with `-` is a length, not an option: it meets
+        detect's own check."""
+        seed_cache(20.0)
+        capsys.readouterr()
+        assert run("--t-max", "20", "detect", length) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: circle length L must be positive and finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "reports" / "detect.json").exists()
+
+    def test_help_is_not_a_length(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("detect", "-h")
+        assert exit_.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 class TestScan:
