@@ -266,10 +266,10 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         {"name": "trace_identity", "threshold": 1e-14,
          "worst": max(operators.trace_identity_check(f, u) for f, u in points)},
         {"name": "psi_vanishing_at_i_half", "threshold": 1e-9,
-         "worst": max(abs(schwartz.mellin_psi(f, 0.5j).psi) for f in family)},
+         "worst": max(abs(schwartz.mellin_psi(f, 0.5j)[0]) for f in family)},
         {"name": "mellin_conjugation", "threshold": 1e-10,
-         "worst": max(abs(schwartz.mellin_psi(f, float(-z)).psi
-                          - schwartz.mellin_psi(f, float(z)).psi.conjugate())
+         "worst": max(abs(schwartz.mellin_psi(f, float(-z))[0]
+                          - schwartz.mellin_psi(f, float(z))[0].conjugate())
                       for f in family for z in np.linspace(-6.0, 6.0, 13))},
     ]
     for check in checks:

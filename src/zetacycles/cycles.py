@@ -116,7 +116,7 @@ def _row_data(L: float, family: list[TestFunction], t_max: float) -> tuple[int, 
     for n in range(-n_modes, n_modes + 1):
         s = _TWO_PI * n / L
         scores.append(abs(zeta_critical(-s)))
-        if max(abs(mellin_psi(f, s).psi) for f in family) < _PSI_FLOOR:
+        if max(abs(mellin_psi(f, s)[0]) for f in family) < _PSI_FLOOR:
             raise FamilyDegenerateError(
                 f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s:.6g}"
             )

@@ -21,7 +21,6 @@ from .specfun import gamma_complex
 
 __all__ = [
     "MellinDomainError",
-    "MellinValue",
     "RepresentationError",
     "TestFunction",
     "apply_H",
@@ -97,17 +96,6 @@ class TestFunction:
     @property
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
-
-
-@dataclass(frozen=True)
-class MellinValue:
-    z: complex
-    psi: complex
-    abs_error: float
-
-    def __post_init__(self) -> None:
-        if self.abs_error < 0.0:
-            raise ValueError("abs_error must be nonnegative")
 
 
 def _gamma_series_psi(coeffs: tuple[float, ...], z):
@@ -226,8 +214,8 @@ def _mellin_quadrature(f: TestFunction, z: complex, panel_width: float) -> compl
     return complex(np.sum(w * integrand))
 
 
-def mellin_psi(f: TestFunction, z: complex, method: str = "closed") -> MellinValue:
-    """psi_f(z) with an error estimate; method in {closed, quadrature}.
+def mellin_psi(f: TestFunction, z: complex, method: str = "closed") -> tuple[complex, float]:
+    """(psi_f(z), error estimate); method in {closed, quadrature}.
 
     closed sums the Gamma series in f's coefficients. quadrature, the
     independent route, is composite 16-point Gauss-Legendre on the log axis
@@ -240,13 +228,13 @@ def mellin_psi(f: TestFunction, z: complex, method: str = "closed") -> MellinVal
         )
     if method == "closed":
         value = complex(_gamma_series_psi(f.coeffs, z))
-        return MellinValue(z, value, 1e-13 * (1.0 + abs(value)))
+        return value, 1e-13 * (1.0 + abs(value))
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     h = min(0.2, 10.0 / (1.0 + abs(z.real)))
     coarse = _mellin_quadrature(f, z, h)
     fine = _mellin_quadrature(f, z, 0.5 * h)
-    return MellinValue(z, fine, max(abs(fine - coarse), 1e-15))
+    return fine, max(abs(fine - coarse), 1e-15)
 
 
 def mellin_psi_many(f: TestFunction, z) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import CircleFunction, _positive
+from .operators import CircleFunction, _count, _positive
 from .specfun import ZetaZero, finite_difference_weights, zeta_critical
 
 __all__ = [
@@ -150,8 +150,7 @@ def build_section_grid(t_max: float, zeros: Sequence[ZetaZero]) -> np.ndarray:
     on-grid. Geometric points closer than 1e-6 L to an inserted locus are
     dropped so local difference stencils never see near-duplicate nodes.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    _positive("t_max", t_max)
     L_min, L_max = _TWO_PI / t_max, _GRID_L_MAX
     if L_min >= L_max:
         raise ValueError(f"grid range is empty; raise t_max above 2 pi / {L_max:g}")
@@ -205,8 +204,8 @@ def circle_at(section: GlobalSection, L: float, N: int) -> CircleFunction:
 
     Coefficient rule: c_n = |n|^{-1/2} f_{sign n}(L / |n|), c_0 = 0.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    L = _positive("circle length L", L)
+    _count("mode count N", N)
     w = 1.0 / np.sqrt(np.arange(1, N + 1))
     plus = [section.eval_plus(L / n) for n in range(1, N + 1)]
     minus = [section.eval_minus(L / n) for n in range(1, N + 1)]
@@ -262,18 +261,15 @@ def _jet(stencil: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> list[com
 class IdealGenerator:
     """A generator of the vanishing ideal, known through point evaluation."""
 
-    kind: str
     zeros: tuple[tuple[float, int], ...]
     evaluator: Callable[[float], complex]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zeta_plus", "zeta_minus", "synthetic"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
         if not self.zeros:
             raise ValueError("generator must declare at least one zero")
         for L_k, m_k in self.zeros:
-            if L_k <= 0.0 or m_k < 1:
-                raise ValueError("zeros must be (positive location, order >= 1)")
+            _positive("zero location", L_k)
+            _count("zero order", m_k)
         self._check_vanishing()
 
     def _check_vanishing(self) -> None:
@@ -304,26 +300,19 @@ def zeta_generator(sign: int, zeros: Sequence[ZetaZero]) -> IdealGenerator:
     def evaluator(L: float) -> complex:
         return zeta_critical(-sign * _TWO_PI / L)
 
-    kind = "zeta_plus" if sign == 1 else "zeta_minus"
-    return IdealGenerator(kind=kind, zeros=locs, evaluator=evaluator)
+    return IdealGenerator(zeros=locs, evaluator=evaluator)
 
 
-def synthetic_generator(
-    L0: float,
-    order: int = 2,
-    amplitude: float = 1.0,
-) -> IdealGenerator:
-    """(L - L0)^order (1 + (L - L0)^2), scaled; exercises multiplicity > 1."""
-    if L0 <= 0.0:
-        raise ValueError("L0 must be positive")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+def synthetic_generator(L0: float, order: int = 2) -> IdealGenerator:
+    """(L - L0)^order (1 + (L - L0)^2); exercises multiplicity > 1."""
+    _positive("L0", L0)
+    _count("order", order)
 
     def evaluator(L: float) -> complex:
         d = L - L0
-        return amplitude * d**order * (1.0 + d * d)
+        return d**order * (1.0 + d * d)
 
-    return IdealGenerator(kind="synthetic", zeros=((L0, order),), evaluator=evaluator)
+    return IdealGenerator(zeros=((L0, order),), evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -345,8 +334,7 @@ def ideal_membership(
     function of order-1 magnitude that fails to vanish scores near 1 while
     genuine members score at rounding level.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _positive("tol", tol)
     witnesses: list[JetWitness] = []
     for L_k, m_k in g.zeros:
         stencil = _stencil(f.grid, L_k, m_k - 1)
@@ -366,10 +354,6 @@ class JetEntry:
     location: float
     jets_plus: tuple[complex, ...]
     jets_minus: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.jets_plus) != len(self.jets_minus) or not self.jets_plus:
-            raise ValueError("jet slots must be nonempty and equally long")
 
 
 def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> tuple[JetEntry, ...]:
@@ -426,11 +410,8 @@ def vanishing_certificate(section: GlobalSection) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class JordanReport:
-    """ϑ(λ) on order-2 jets at a synthetic double zero, as c (I + N)."""
+    """ϑ(λ) on order-2 jets at a double zero, as c (I + N); c is matrix[0, 0]."""
 
-    L0: float
-    lam: float
-    multiplier: complex
     nilpotent: np.ndarray
     matrix: np.ndarray
     order0_residual: float
@@ -442,7 +423,7 @@ def jordan_structure(
     section: GlobalSection,
     g: IdealGenerator,
 ) -> JordanReport:
-    """2x2 jet representation of ϑ(λ) at the double zero of a synthetic g.
+    """2x2 jet representation of ϑ(λ) at the one double zero of g.
 
     The matrix is c (I + N) with c = λ^{-2 pi i / L0} and N strictly lower
     triangular, N[1,0] = 2 pi i ln(λ) / L0^2. Order-0 action on the supplied
@@ -452,8 +433,8 @@ def jordan_structure(
     is reported at its honest scale.
     """
     _positive("lambda", lam)
-    if g.kind != "synthetic" or len(g.zeros) != 1 or g.zeros[0][1] != 2:
-        raise ValueError("jordan_structure needs a synthetic double zero")
+    if len(g.zeros) != 1 or g.zeros[0][1] != 2:
+        raise ValueError("jordan_structure needs a generator with one double zero")
     L0 = g.zeros[0][0]
 
     c = cmath.exp(-2j * math.pi * math.log(lam) / L0)
@@ -471,12 +452,4 @@ def jordan_structure(
     scale1 = max(abs(predicted[1]), 1.0)
     order1 = abs(jets_after[1] - predicted[1]) / scale1
 
-    return JordanReport(
-        L0=L0,
-        lam=lam,
-        multiplier=c,
-        nilpotent=N,
-        matrix=M,
-        order0_residual=order0,
-        order1_rel_error=order1,
-    )
+    return JordanReport(nilpotent=N, matrix=M, order0_residual=order0, order1_rel_error=order1)

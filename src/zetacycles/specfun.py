@@ -4,11 +4,11 @@ Everything downstream (Fourier coefficients, dip scans, ideal generators)
 funnels through `zeta_critical` or its array form `zeta_critical_many`, so
 this module carries the accuracy contracts: Euler-Maclaurin (at one point,
 or over a block of points), a Riemann-Siegel main sum with remainder terms
-C0..C4, and honest error accounting for both. `zeta_critical` alone takes an
-`EvalConfig`, and `_zeta_on_line` alone reaches Riemann-Siegel, at or above
-its `rs_threshold`. `zeta_critical_many`, `riemann_siegel_Z` and `zeta_jet`
-run on Euler-Maclaurin up to VALIDATED_T_MAX, under the target of
-`_EM_POLICY`. Z is zeta rotated by e^{i theta}, on an array by
+C0..C4, and honest error accounting for both. The module reads one policy,
+`_POLICY`: `zeta_critical` alone reaches Riemann-Siegel, at or above its
+`rs_threshold`; `zeta_critical_many`, `riemann_siegel_Z` and `zeta_jet` run
+on Euler-Maclaurin up to VALIDATED_T_MAX; every evaluated point meets its
+`target_abs_error`. Z is zeta rotated by e^{i theta}, on an array by
 `rotate_to_Z`; a zero is a sign change of Z between neighbouring points of
 such an array. `find_zeros` takes the Gram points g_j, where theta(g_j) =
 j pi, checks Gram's law (-1)^j Z(g_j) > 0 at each, and refines all its
@@ -70,20 +70,14 @@ class AccuracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation policy shared by every zeta-dependent operation."""
+    """The evaluation policy: the |t| from which zeta_critical takes
+    Riemann-Siegel, and the error every evaluated point must be within."""
 
     rs_threshold: float = 100.0
     target_abs_error: float = 1e-6
 
-    def __post_init__(self) -> None:
-        if not self.rs_threshold >= 20.0:
-            raise ValueError("rs_threshold must be >= 20")
-        if not self.target_abs_error > 0.0:
-            raise ValueError("target_abs_error must be positive")
 
-
-# The policy of every evaluator but zeta_critical: Euler-Maclaurin throughout.
-_EM_POLICY = EvalConfig(rs_threshold=math.inf)
+_POLICY = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -302,10 +296,10 @@ def _range_error(t: float) -> AccuracyError:
     return AccuracyError(f"t = {t:.6g} exceeds the validated range ({VALIDATED_T_MAX:g})")
 
 
-def _bound_error(bound: float, t: float, cfg: EvalConfig) -> AccuracyError:
+def _bound_error(bound: float, t: float) -> AccuracyError:
     return AccuracyError(
         f"certified error {bound:.3g} at t = {t:.6g} exceeds "
-        f"target_abs_error = {cfg.target_abs_error:.3g}"
+        f"target_abs_error = {_POLICY.target_abs_error:.3g}"
     )
 
 
@@ -313,27 +307,28 @@ def _rotation_error(residual: float, t: float) -> AccuracyError:
     return AccuracyError(f"rotation residual {residual:.3g} at t = {t:.6g} exceeds 1e-9")
 
 
-def _zeta_on_line(t: float, cfg: EvalConfig) -> tuple[complex, float]:
-    """(zeta(1/2+it), certified bound) for t >= 0: Euler-Maclaurin below
-    cfg.rs_threshold, Riemann-Siegel at or above it."""
+def _zeta_on_line(t: float, riemann_siegel: bool = False) -> tuple[complex, float]:
+    """(zeta(1/2+it), certified bound) for t >= 0, within the target error:
+    by Euler-Maclaurin, or by Riemann-Siegel if asked."""
     if t > VALIDATED_T_MAX:
         raise _range_error(t)
-    if t < cfg.rs_threshold:
-        value, bound = _zeta_euler_maclaurin(t)
-    else:
+    if riemann_siegel:
         z_val, bound = _riemann_siegel_raw(t)
         value = z_val * cmath.exp(-1j * siegel_theta(t))
-    if bound > cfg.target_abs_error:
-        raise _bound_error(bound, t, cfg)
+    else:
+        value, bound = _zeta_euler_maclaurin(t)
+    if bound > _POLICY.target_abs_error:
+        raise _bound_error(bound, t)
     return value, bound
 
 
-def zeta_critical(t: float, cfg: EvalConfig = EvalConfig()) -> complex:
-    """zeta(1/2 + it) for real t, to within cfg.target_abs_error."""
+def zeta_critical(t: float) -> complex:
+    """zeta(1/2 + it) for real t, to within the target error: Riemann-Siegel
+    at or above the policy's rs_threshold, Euler-Maclaurin below it."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    value, _ = _zeta_on_line(abs(t), cfg)
+    value, _ = _zeta_on_line(abs(t), abs(t) >= _POLICY.rs_threshold)
     return value.conjugate() if t < 0.0 else value
 
 
@@ -344,7 +339,7 @@ def riemann_siegel_Z(t: float) -> float:
     t = float(t)
     if t < 0.0:
         raise ValueError("riemann_siegel_Z requires t >= 0")
-    zeta_val, _ = _zeta_on_line(t, _EM_POLICY)
+    zeta_val, _ = _zeta_on_line(t)
     rotated = cmath.exp(1j * siegel_theta(t)) * zeta_val
     if abs(rotated.imag) > 1e-9:
         raise _rotation_error(rotated.imag, t)
@@ -370,9 +365,9 @@ def zeta_critical_many(t) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, t.size, _GRID_BLOCK):
         block = order[lo : lo + _GRID_BLOCK]
         values[block], bounds[block] = _zeta_euler_maclaurin(a[block])
-    if (over := bounds > _EM_POLICY.target_abs_error).any():
+    if (over := bounds > _POLICY.target_abs_error).any():
         i = over.argmax()
-        raise _bound_error(bounds[i], a[i], _EM_POLICY)
+        raise _bound_error(bounds[i], a[i])
     return np.where(t < 0.0, values.conj(), values), bounds
 
 

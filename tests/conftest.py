@@ -4,12 +4,7 @@ import pytest
 
 from zetacycles.schwartz import canonical_vector, default_family
 from zetacycles.sheaf import build_section_grid
-from zetacycles.specfun import EvalConfig, find_zeros
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return EvalConfig()
+from zetacycles.specfun import find_zeros
 
 
 @pytest.fixture(scope="session")

@@ -69,12 +69,12 @@ class TestDetect:
         assert report.flagged == []
         assert report.matched_zeros == []
 
-    def test_zeta_score_identity(self, family, cfg, zeros20):
+    def test_zeta_score_identity(self, family, zeros20):
         # every row's score is |zeta(1/2 + 2 pi i n / L)|, the value scan profiles
         for L in (0.7, L_STAR):
             report = detect(L, family, t_max=20.0, zeros=zeros20)
             for n, score in report.zeta_scores.items():
-                assert score == abs(zeta_critical(-2.0 * math.pi * n / L, cfg))
+                assert score == abs(zeta_critical(-2.0 * math.pi * n / L))
 
     def test_verdict_independent_of_family(self, family, zeros20):
         f3 = make_test_function(3)

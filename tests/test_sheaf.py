@@ -17,7 +17,6 @@ from zetacycles.operators import covering_sigma
 from zetacycles.sheaf import (
     GlobalSection,
     IdealGenerator,
-    JetEntry,
     SampledFunction,
     UnderResolvedGridError,
     build_section_grid,
@@ -39,6 +38,7 @@ from zetacycles.sheaf import (
 from zetacycles.specfun import ZetaZero
 
 TWO_PI = 2.0 * math.pi
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 
 
 def smooth_plus(L):
@@ -82,6 +82,11 @@ class TestSectionGrid:
             build_section_grid(-1.0, zeros60)
         with pytest.raises(ValueError):
             build_section_grid(1.0, zeros60)
+
+    @NON_FINITE
+    def test_t_max_must_be_finite(self, zeros60, bad):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            build_section_grid(bad, zeros60)
 
 
 class TestGlobalSection:
@@ -212,6 +217,18 @@ class TestCirclesAndCovering:
             assert xi.L == L
             assert abs(xi.coeff(1) - section.eval_plus(float(L))) <= 1e-14
 
+    @NON_FINITE
+    def test_length_must_be_finite_before_any_read(self, section, bad, monkeypatch):
+        monkeypatch.setattr(GlobalSection, "_eval", lambda *_: pytest.fail("section read"))
+        with pytest.raises(ValueError, match="circle length L must be positive and finite"):
+            circle_at(section, bad, 2)
+
+    def test_mode_count_must_be_an_integer(self, section):
+        with pytest.raises(ValueError, match="mode count N must be a positive integer"):
+            circle_at(section, 1.0, 2.5)
+        with pytest.raises(ValueError, match="mode count N must be a positive integer"):
+            gamma_inverse(section, 2.5)
+
     def test_gamma_inverse_needs_enough_points(self):
         grid = np.linspace(1.0, 2.0, 6)
         sec = GlobalSection(grid, np.ones(6), np.ones(6))
@@ -295,12 +312,6 @@ class TestJets:
         with pytest.raises(UnderResolvedGridError):
             quotient_jets(sec, zeros60[:1])
 
-    def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            JetEntry(14.1, 0.44, (1.0,), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            JetEntry(14.1, 0.44, (), ())
-
     def test_csv_rows_and_header(self, tmp_path, section, zeros60):
         jets = quotient_jets(section, zeros60)
         assert len(jets) == len(zeros60)
@@ -319,8 +330,7 @@ class TestJets:
 
 class TestGenerators:
     def test_synthetic_declares_its_zero(self):
-        g = synthetic_generator(0.8, order=2, amplitude=3.0)
-        assert g.kind == "synthetic"
+        g = synthetic_generator(0.8, order=2)
         assert g.zeros == ((0.8, 2),)
         assert g.evaluator(0.8) == 0.0
 
@@ -329,10 +339,16 @@ class TestGenerators:
             synthetic_generator(-1.0)
         with pytest.raises(ValueError):
             synthetic_generator(1.0, order=0)
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            synthetic_generator(1.0, order=2.5)
+
+    @NON_FINITE
+    def test_synthetic_location_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="L0 must be positive and finite"):
+            synthetic_generator(bad)
 
     def test_zeta_generator_vanishes_at_loci(self, zeros60):
         g = zeta_generator(1, zeros60)
-        assert g.kind == "zeta_plus"
         assert len(g.zeros) == len(zeros60)
         locus = g.zeros[0][0]
         assert abs(g.evaluator(locus)) <= 1e-8
@@ -345,11 +361,16 @@ class TestGenerators:
 
     def test_non_vanishing_evaluator_rejected(self):
         with pytest.raises(ValueError):
-            IdealGenerator("synthetic", ((1.0, 1),), lambda L: 1.0 + L)
+            IdealGenerator(((1.0, 1),), lambda L: 1.0 + L)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            IdealGenerator("other", ((1.0, 1),), lambda L: L - 1.0)
+    @NON_FINITE
+    def test_zero_location_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="zero location must be positive and finite"):
+            IdealGenerator(((bad, 1),), lambda L: L - 1.0)
+
+    def test_zero_order_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="zero order must be a positive integer"):
+            IdealGenerator(((1.0, 1.5),), lambda L: L - 1.0)
 
 
 class TestIdealMembership:
@@ -399,6 +420,13 @@ class TestIdealMembership:
         with pytest.raises(ValueError):
             ideal_membership(f, g, tol=0.0)
 
+    @NON_FINITE
+    def test_tol_must_be_finite(self, section_grid, bad):
+        # a NaN or infinite tolerance would pass every witness and call 1 a member
+        f = SampledFunction(section_grid, np.ones(section_grid.size))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ideal_membership(f, synthetic_generator(1.0), tol=bad)
+
 
 class TestVanishingCertificate:
     def test_true_order_six_passes(self, section_grid):
@@ -424,7 +452,7 @@ class TestJordanStructure:
     def test_block_form_and_invariants(self, section):
         g = synthetic_generator(0.75, order=2)
         report = jordan_structure(2.0, section, g)
-        c = report.multiplier
+        c = report.matrix[0, 0]
         assert abs(c) == pytest.approx(1.0, rel=1e-15)
         expected_n21 = 2j * math.pi * math.log(2.0) / 0.75**2
         assert report.nilpotent[1, 0] == expected_n21

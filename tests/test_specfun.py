@@ -86,59 +86,59 @@ class TestSiegelTheta:
 
 class TestZetaCritical:
     @pytest.mark.parametrize("t,expected", list(ZETA_CRITICAL_SAMPLES.items()))
-    def test_frozen_samples(self, t, expected, cfg):
-        got = zeta_critical(t, cfg)
+    def test_frozen_samples(self, t, expected):
+        got = zeta_critical(t)
         assert abs(got - expected) <= 1e-6
 
-    def test_zeta_half(self, cfg):
-        got = zeta_critical(0.0, cfg)
+    def test_zeta_half(self):
+        got = zeta_critical(0.0)
         assert got.imag == 0.0
         assert got.real == pytest.approx(ZETA_HALF, abs=1e-12)
 
-    def test_conjugate_symmetry(self, cfg):
+    def test_conjugate_symmetry(self):
         rng = np.random.default_rng(7)
         for t in rng.uniform(-60.0, 60.0, size=1000):
-            left = zeta_critical(-t, cfg)
-            right = zeta_critical(t, cfg).conjugate()
+            left = zeta_critical(-t)
+            right = zeta_critical(t).conjugate()
             assert abs(left - right) <= 1e-10
 
     @pytest.mark.parametrize("t,expected", list(SIEGEL_Z_SAMPLES.items()))
     def test_z_frozen_samples(self, t, expected):
         assert riemann_siegel_Z(t) == pytest.approx(expected, abs=1e-6)
 
-    def test_z_reality(self, cfg):
+    def test_z_reality(self):
         # Z is the rotation of zeta onto the real axis; recompute the
         # rotation directly, on either route, and bound its imaginary part
         for t in (5.0, 30.0, 57.3, 80.0, 99.0, 130.0, 220.0):
-            for policy in (cfg, specfun._EM_POLICY):
-                rotated = np.exp(1j * siegel_theta(t)) * zeta_critical(t, policy)
+            for zeta in (zeta_critical(t), specfun._zeta_euler_maclaurin(t)[0]):
+                rotated = np.exp(1j * siegel_theta(t)) * zeta
                 assert abs(rotated.imag) <= 1e-9
             # Z is on Euler-Maclaurin: the last rotation
             assert riemann_siegel_Z(t) == pytest.approx(rotated.real, abs=1e-9)
 
     def test_method_overlap_band(self):
-        # force each path by moving the switch point across the band
+        # both routes of zeta_critical across its switch at t = 100
         for t in np.linspace(85.0, 115.0, 13):
-            em = zeta_critical(t, EvalConfig(rs_threshold=200.0))
-            rs = zeta_critical(t, EvalConfig(rs_threshold=80.0))
+            em = specfun._zeta_euler_maclaurin(t)[0]
+            rs = specfun._riemann_siegel_raw(t)[0] * np.exp(-1j * siegel_theta(t))
             assert abs(em - rs) <= 1e-7
 
-    def test_out_of_validated_range(self, cfg):
+    def test_out_of_validated_range(self):
         with pytest.raises(AccuracyError):
-            zeta_critical(VALIDATED_T_MAX + 5.0, cfg)
+            zeta_critical(VALIDATED_T_MAX + 5.0)
 
-    def test_unreachable_target(self):
-        tight = EvalConfig(target_abs_error=1e-14)
-        with pytest.raises(AccuracyError):
-            zeta_critical(150.0, tight)
+    def test_unreachable_target(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
+        with pytest.raises(AccuracyError, match="certified error"):
+            zeta_critical(150.0)  # Riemann-Siegel
+        with pytest.raises(AccuracyError, match="certified error"):
+            zeta_critical(-50.0)  # Euler-Maclaurin
 
 
 class TestEvalConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(rs_threshold=5.0)
-        with pytest.raises(ValueError):
-            EvalConfig(target_abs_error=0.0)
+        # the module's one policy, with the defaults the benchmark reads
+        assert specfun._POLICY == EvalConfig(rs_threshold=100.0, target_abs_error=1e-6)
         with pytest.raises(TypeError):
             EvalConfig(euler_maclaurin_terms=40)  # a module constant: it had no caller
 
@@ -150,14 +150,14 @@ class TestEvalConfig:
 
 
 class TestFindZeros:
-    def test_first_thirteen(self, zeros60, cfg):
+    def test_first_thirteen(self, zeros60):
         oracle = [t for t in ZERO_ORDINATES if t <= 60.0]
         assert len(zeros60) == len(oracle) == 13
         for z, t in zip(zeros60, oracle):
             assert abs(z.ordinate - t) <= 1e-9
             assert abs(z.ordinate - t) <= z.abs_error
             assert z.multiplicity == 1
-            assert abs(zeta_critical(z.ordinate, cfg)) < 1e-6
+            assert abs(zeta_critical(z.ordinate)) < 1e-6
 
     def test_empty_below_first_zero(self):
         assert find_zeros(0.0, 5.0) == []
@@ -292,16 +292,16 @@ class TestBlockEvaluation:
             z1 = riemann_siegel_Z(float(x))
             assert abs(value - z1) <= 1e-15 * abs(z1), x
 
-    def test_points_at_threshold_take_riemann_siegel(self, cfg):
-        """Only scalar zeta_critical takes Riemann-Siegel at and above
-        cfg.rs_threshold; the block and scalar Z stay on Euler-Maclaurin."""
-        t = np.array([90.0, 99.5, cfg.rs_threshold, 130.0, 259.0])
+    def test_points_at_threshold_take_riemann_siegel(self):
+        """Only scalar zeta_critical takes Riemann-Siegel at and above the
+        policy's rs_threshold; the block and scalar Z stay on Euler-Maclaurin."""
+        t = np.array([90.0, 99.5, specfun._POLICY.rs_threshold, 130.0, 259.0])
         values, bounds = self.z_many(t)
         for x, value, bound in zip(t, values, bounds):
             assert value == pytest.approx(riemann_siegel_Z(float(x)), rel=1e-15)
             assert bound == pytest.approx(specfun._zeta_euler_maclaurin(float(x))[1], rel=1e-15)
         for x in t[2:]:
-            rotated = np.exp(1j * siegel_theta(x)) * zeta_critical(float(x), cfg)
+            rotated = np.exp(1j * siegel_theta(x)) * zeta_critical(float(x))
             z_rs = specfun._riemann_siegel_raw(float(x))[0]
             assert rotated.real == pytest.approx(z_rs, rel=1e-15, abs=0.0)
 
@@ -311,7 +311,7 @@ class TestBlockEvaluation:
         with pytest.raises(AccuracyError, match="validated range"):
             riemann_siegel_Z(VALIDATED_T_MAX + 1.0)
         with monkeypatch.context() as patch:
-            patch.setattr(specfun, "_EM_POLICY", EvalConfig(math.inf, target_abs_error=1e-14))
+            patch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
             with pytest.raises(AccuracyError, match="certified error"):
                 self.z_many(np.linspace(1.0, 50.0, 10))
             with pytest.raises(AccuracyError, match="certified error"):
@@ -328,19 +328,22 @@ class TestZetaCriticalMany:
     """The array evaluator against scalar zeta_critical, and its guards."""
 
     def test_matches_scalar(self):
-        """Against scalar zeta_critical on the same Euler-Maclaurin route, on
-        both sides of the scalar default's Riemann-Siegel threshold."""
-        em = specfun._EM_POLICY
+        """Against the scalar Euler-Maclaurin route, which is scalar
+        zeta_critical's below its Riemann-Siegel threshold, on both sides of
+        that threshold."""
+        policy = specfun._POLICY
         rng = np.random.default_rng(7)
         t = np.concatenate([rng.uniform(-259.0, 259.0, 400), [0.0, 99.9, -100.0, 100.0]])
-        assert (np.abs(t) < EvalConfig().rs_threshold).sum() > 100
-        assert (np.abs(t) >= EvalConfig().rs_threshold).sum() > 100
+        assert (np.abs(t) < policy.rs_threshold).sum() > 100
+        assert (np.abs(t) >= policy.rs_threshold).sum() > 100
         many, bounds = zeta_critical_many(t)
         for x, value, bound in zip(t, many, bounds):
-            one = zeta_critical(float(x), em)
+            one, em_bound = specfun._zeta_euler_maclaurin(abs(float(x)))
+            one = one.conjugate() if x < 0.0 else one
+            if abs(x) < policy.rs_threshold:
+                assert zeta_critical(float(x)) == one
             assert abs(value - one) <= 1e-15 * abs(one), x
-            assert 0.0 < bound <= em.target_abs_error
-            em_bound = specfun._zeta_euler_maclaurin(abs(float(x)))[1]
+            assert 0.0 < bound <= policy.target_abs_error
             assert bound == pytest.approx(em_bound, rel=1e-15)
 
     def test_empty(self):
@@ -354,7 +357,7 @@ class TestZetaCriticalMany:
             zeta_critical_many(np.array([-np.inf, 1.0]))
         with pytest.raises(AccuracyError, match="validated range"):
             zeta_critical_many(np.array([10.0, -(VALIDATED_T_MAX + 1.0)]))
-        monkeypatch.setattr(specfun, "_EM_POLICY", EvalConfig(math.inf, target_abs_error=1e-14))
+        monkeypatch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
         with pytest.raises(AccuracyError, match="certified error"):
             zeta_critical_many(np.linspace(1.0, 50.0, 10))
         with pytest.raises(AccuracyError, match="certified error"):
@@ -449,7 +452,7 @@ def test_em_bound_covers_error(t):
 
 def test_riemann_siegel_bound_covers_error():
     """The Riemann-Siegel bound holds against mpmath at 161 points of
-    [20, 260], from the lowest rs_threshold EvalConfig accepts up to
+    [20, 260], from far below the rs_threshold of 100 up to
     VALIDATED_T_MAX. The worst point uses 0.76 of its bound, near t = 21.5."""
     mpmath = pytest.importorskip("mpmath")
     for t in np.linspace(20.0, VALIDATED_T_MAX, 161):
