@@ -9,6 +9,7 @@ closed form), with quadrature as the independent route.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -222,6 +223,8 @@ def mellin_psi(f: TestFunction, z: complex, method: str = "closed") -> tuple[com
     with panel-halving as the error estimate.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("z must be finite")
     if z.imag <= _MELLIN_IM_MIN:
         raise MellinDomainError(
             f"Im(z) = {z.imag:g} is at or below the convergence margin {_MELLIN_IM_MIN}"
@@ -241,6 +244,8 @@ def mellin_psi_many(f: TestFunction, z) -> np.ndarray:
     """psi_f at each point of a 1-D array z, by the closed form on the whole
     array; equal to mellin_psi's closed form point by point."""
     z = np.asarray(z, dtype=np.complex128)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
     if z.size and (im_min := z.imag.min()) <= _MELLIN_IM_MIN:
         raise MellinDomainError(f"Im(z) = {im_min:g} is at or below the convergence margin")
     return _gamma_series_psi(f.coeffs, z)

@@ -163,6 +163,15 @@ class TestMellin:
         with pytest.raises(MellinDomainError):
             mellin_psi(family[0], -0.5j, method="quadrature")
 
+    @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
+    def test_z_must_be_finite(self, family, part):
+        for z in (complex(part, 1.0), complex(1.0, part)):
+            for method in ("closed", "quadrature"):
+                with pytest.raises(ValueError, match="z must be finite"):
+                    mellin_psi(family[0], z, method=method)
+            with pytest.raises(ValueError, match="z must be finite"):
+                mellin_psi_many(family[0], np.array([0.5, z]))
+
     def test_zero_function(self):
         zero = linear_combination([make_test_function(0)], [0.0])
         assert zero.is_zero

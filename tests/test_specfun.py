@@ -127,6 +127,11 @@ class TestZetaCritical:
         with pytest.raises(AccuracyError):
             zeta_critical(VALIDATED_T_MAX + 5.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_z_needs_finite_t(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            riemann_siegel_Z(t)
+
     def test_unreachable_target(self, monkeypatch):
         monkeypatch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
         with pytest.raises(AccuracyError, match="certified error"):
@@ -285,6 +290,18 @@ class TestBlockEvaluation:
         zeta, bounds = zeta_critical_many(t)
         return rotate_to_Z(t, zeta), bounds
 
+    def test_spread_unsorted_block_matches_points_exactly(self):
+        """One block of shuffled t over [0, 260], the Gram points to 250 and
+        random points, so its rows' sum lengths differ by more than 100: each
+        point's value and bound equal the float path's bit for bit."""
+        rng = np.random.default_rng(11)
+        gram = specfun._gram_points(250.0)[1]
+        random = rng.uniform(0.0, VALIDATED_T_MAX, 256 - gram.size)
+        t = rng.permutation(np.concatenate([gram, random]))
+        values, bounds = specfun._zeta_euler_maclaurin(t)
+        for x, value, bound in zip(t, values, bounds):
+            assert specfun._zeta_euler_maclaurin(float(x)) == (value, bound), x
+
     def test_z_grid_matches_points(self):
         t = self.em_points()
         values, _ = self.z_many(t)
@@ -349,6 +366,11 @@ class TestZetaCriticalMany:
     def test_empty(self):
         values, bounds = zeta_critical_many(np.array([]))
         assert values.shape == bounds.shape == (0,)
+
+    @pytest.mark.parametrize("t", [3.0, np.ones((2, 2))], ids=["scalar", "2-D"])
+    def test_input_must_be_one_dimensional(self, t):
+        with pytest.raises(ValueError, match="t must be a 1-D array"):
+            zeta_critical_many(t)
 
     def test_guards_raise_on_block(self, monkeypatch):
         with pytest.raises(ValueError, match="finite"):
@@ -440,9 +462,11 @@ class TestRefineRoot:
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=st.floats(min_value=0.0, max_value=VALIDATED_T_MAX))
+@given(t=st.floats(min_value=0.0, max_value=1000.0))
 def test_em_bound_covers_error(t):
-    """The Euler-Maclaurin bound holds against a 30-digit evaluation."""
+    """The Euler-Maclaurin bound holds against a 30-digit evaluation, up to
+    t = 1000, past VALIDATED_T_MAX: the main-sum length N = ceil(t/2) + 10
+    keeps the truncation term below the rounding term there."""
     mpmath = pytest.importorskip("mpmath")
     value, bound = specfun._zeta_euler_maclaurin(t)
     with mpmath.workdps(30):
@@ -489,8 +513,8 @@ def test_psi_rs_derivatives_against_mpmath():
 def test_em_bound_rises_with_t():
     """find_zeros takes the larger Euler-Maclaurin bound of a Gram bracket's
     two ends as the bound at every point the refiner evaluates inside it; that
-    holds because the bound never falls as t rises."""
-    t = np.linspace(0.0, VALIDATED_T_MAX, 26001)
+    holds because the bound never falls as t rises, checked up to t = 1000."""
+    t = np.linspace(0.0, 1000.0, 100001)
     bounds = np.concatenate(
         [specfun._zeta_euler_maclaurin(t[lo : lo + 256])[1] for lo in range(0, t.size, 256)]
     )
