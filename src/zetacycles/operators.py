@@ -174,33 +174,43 @@ def _fourier_coeffs_of(f: TestFunction) -> tuple[np.ndarray, float]:
 
 def _poly_gauss(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.minimum(y, 40.0)  # exp(-pi y^2) is 0.0 there; the clip keeps the poly finite
-    poly = np.zeros_like(y)
-    for c in coeffs[::-1]:
+    poly = coeffs[-1]
+    for c in coeffs[-2::-1]:
         poly = poly * y + c
     return poly * np.exp(-math.pi * np.square(y))
 
 
-_DIRECT_TERMS = 16
-_POISSON_TERMS = 3
 _SPLIT_POINT = 0.5
-_DROP_TOL = 1e-17  # translates on which |E(f)| stays below this are left out
+_DROP_TOL = 1e-17  # translates and lattice terms that stay below this are left out
 _MEAN_ROUNDING = 64.0 * np.finfo(np.float64).eps  # fh(0) this small, relative to its terms, is 0
 
 
-def _eval_E_array(f: TestFunction, v: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """E(f) on an array of positive points, split by magnitude, for fh(0) = 0.
+def _eval_E_array(f: TestFunction, v: np.ndarray, fhat: np.ndarray,
+                  hi: float, lo: float) -> np.ndarray:
+    """E(f) at the points of an ascending 1-D array v > 0, for fh(0) = 0.
 
-    Above the split the defining sum needs few terms; below it the Poisson
-    resummation E(v) = v^(-1/2)(fh(0)/2 + sum_m fh(m/v)) - v^(1/2) f(0)/2
-    converges immediately.
+    Above the split the defining sum sqrt(v) sum_n f(nv) is taken; below it
+    the Poisson resummation E(v) = v^(-1/2)(fh(0)/2 + sum_m fh(m/v)) -
+    v^(1/2) f(0)/2. A term is summed only where it can exceed _DROP_TOL, by
+    the edges hi of f and lo of fh (see _gauss_edge): f(nv) where nv <= e^hi,
+    a prefix of the points above the split, and fh(m/v) where m/v <= e^(-lo),
+    a suffix of those below it. The terms left out at a point each fall below
+    _DROP_TOL and decay as a Gaussian in steps of v >= 1/2, or of 1/v > 2, so
+    together they stay within a small multiple of _DROP_TOL.
     """
-    out = np.empty_like(v)
-    hi = v >= _SPLIT_POINT
-    vh, vl = v[hi], v[~hi]
-    out[hi] = np.sqrt(vh) * sum(f(n * vh) for n in range(1, _DIRECT_TERMS + 1))
-    poisson = sum(_poly_gauss(fhat, m / vl) for m in range(1, _POISSON_TERMS + 1))
-    out[~hi] = poisson / np.sqrt(vl) - 0.5 * float(f(0.0)) * np.sqrt(vl)
-    return out
+    split = np.searchsorted(v, _SPLIT_POINT)
+    vl, vh = v[:split], v[split:]
+    direct, poisson = np.zeros_like(vh), np.zeros_like(vl)
+    n = 1
+    while (k := np.searchsorted(vh, math.exp(hi) / n, side="right")) > 0:
+        direct[:k] += f(n * vh[:k])
+        n += 1
+    m = 1
+    while (k := np.searchsorted(vl, m * math.exp(lo))) < vl.size:
+        poisson[k:] += _poly_gauss(fhat, m / vl[k:])
+        m += 1
+    edge = poisson / np.sqrt(vl) - 0.5 * float(f(0.0)) * np.sqrt(vl)
+    return np.concatenate([edge, np.sqrt(vh) * direct])
 
 
 def _gauss_edge(c: float, b: float) -> float:
@@ -237,13 +247,13 @@ def fourier_direct(f: TestFunction, L: float, N: int) -> CircleFunction:
                          f"{fhat[0]:.3g}); its periodization diverges")
     fhat[0] = 0.0
     hi = _gauss_edge(*f.decay)
-    lo = -_gauss_edge(*_decay_certificate(tuple(fhat[::2])))  # fh is even
+    lo = fh_lo = -_gauss_edge(*_decay_certificate(tuple(fhat[::2])))  # fh is even
     if (origin := abs(float(f(0.0)))) > 0.0:
         lo = min(lo, 2.0 * math.log(2.0 * _DROP_TOL * -math.expm1(-0.5 * L) / origin))
     x = (np.arange(grid, dtype=np.float64) * L) / grid
     shifts = np.arange(math.floor(lo / L), math.ceil(hi / L), dtype=np.float64) * L
-    v = np.exp(shifts[:, None] + x[None, :])
-    xi = np.sum(_eval_E_array(f, v, fhat), axis=0)
+    v = np.exp(shifts[:, None] + x[None, :]).ravel()  # ascending
+    xi = np.sum(_eval_E_array(f, v, fhat, hi, fh_lo).reshape(-1, grid), axis=0)
     spectrum = np.fft.fft(xi) * (math.sqrt(L) / grid)
     return CircleFunction(L, spectrum[np.arange(-N, N + 1) % grid])
 
