@@ -9,16 +9,20 @@ host's speed falls on both sides alike. It then prints, for each end-to-end
 metric in BENCHMARK.json, the median per side, the base side's quartiles
 and how many pairs each side won; and, for each request kind, the median of
 its `ok_ms_p50`, read from each checkout's `zcbench/_out/`. The runs are
-sequential, one process at a time.
+sequential, one process at a time. Each run writes and reads its bytecode
+under a fresh empty PYTHONPYCACHEPREFIX, so neither side reads the
+`__pycache__` a checkout happens to hold.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -29,7 +33,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     request count, and the median latency of each request kind."""
     argv = [sys.executable, "zcbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="ab_bench_pycache_") as pycache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": pycache}
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=True)
     detail = checkout / "zcbench" / "_out" / f"{workload}-seed{seed}-trace0.json"
     return parse_run(done.stdout.splitlines()[-1], json.loads(detail.read_text()))
 

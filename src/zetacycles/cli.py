@@ -153,6 +153,12 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
+def _zeros_up_to(cache: Path, t_max: float) -> list[ZetaZero]:
+    """The cached zeros at or below t_max: a cache built for a larger t_max
+    holds more, which no command at this t_max may read."""
+    return [z for z in specfun.read_zero_cache(cache) if z.ordinate <= t_max]
+
+
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
     cache = cfg.resolved_cache_path()
     if not cache.exists():
@@ -170,7 +176,7 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
             f"zero cache {cache} covers t <= {covered}, need"
             f" {cfg.t_max}; rerun `zetacycles zeros`"
         )
-    return specfun.read_zero_cache(cache)
+    return _zeros_up_to(cache, cfg.t_max)
 
 
 # A command takes the config and the parsed arguments, and returns its exit code
@@ -182,7 +188,7 @@ def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     cache = cfg.resolved_cache_path()
     covered = _covered_t_max(cache)
     reused = covered is not None and covered >= cfg.t_max
-    zeros = specfun.read_zero_cache(cache) if reused else specfun.find_zeros(0.0, cfg.t_max)
+    zeros = _zeros_up_to(cache, cfg.t_max) if reused else specfun.find_zeros(0.0, cfg.t_max)
     if not reused:
         cache.parent.mkdir(parents=True, exist_ok=True)
         specfun.write_zero_cache(cache, zeros)
@@ -236,7 +242,7 @@ def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
                 "n": m.n,
                 "s": m.s,
                 "matched_zero": None if m.zero is None else m.zero.ordinate,
-                "distance": m.distance,
+                "distance": None if m.zero is None else m.distance,
             }
             for m in report.matched_zeros
         ],

@@ -1,6 +1,5 @@
 """Cycle detection: row-collapse scores over circle lengths, a scan for the
-lengths where a row's Z changes sign, covering stability, and the complement
-spectrum.
+lengths where a row's Z changes sign, and covering stability.
 
 A circle length L is flagged when some Fourier row collapses. Every entry
 c_n(f_j) factors as L^(-1/2) zeta(1/2 - i s_n) times a Mellin factor psi_j(s_n),
@@ -34,11 +33,9 @@ from .specfun import (
 __all__ = [
     "CycleReport",
     "Dip",
-    "EmptySpectrumError",
     "FamilyDegenerateError",
     "MatchedZero",
     "ScanResult",
-    "complement_spectrum",
     "covering_stability",
     "detect",
     "mode_count",
@@ -58,10 +55,6 @@ _SCAN_CELLS = 1 << 16  # (L, n) cells per scan chunk: about 0.5 MB per work arra
 
 class FamilyDegenerateError(ValueError):
     """All Mellin factors vanish at some row frequency; scores undefined."""
-
-
-class EmptySpectrumError(ValueError):
-    """Complement spectrum requested from a negative-verdict report."""
 
 
 @dataclass(frozen=True)
@@ -293,11 +286,3 @@ def covering_stability(
         base if k == 1 else detect(k * L_star, family, t_max, tol, zeros)
         for k in multiples
     ]
-
-
-def complement_spectrum(report: CycleReport) -> list[float]:
-    """Frequencies 2 pi n / L of the flagged rows, both signs, sorted."""
-    if not report.verdict:
-        raise EmptySpectrumError(f"no flagged rows at L = {report.L:g}")
-    return sorted(_TWO_PI * n / report.L for n in report.flagged)
-

@@ -13,9 +13,10 @@ from .specfun import ZetaZero
 
 __all__ = [
     "QuotientEigenvalue",
-    "conjugated_delta_multiplier",
     "delta_eigenvalue",
     "delta_on_test_function",
+    "direct_membership",
+    "negativity_rows",
     "quotient_spectrum",
     "rh_predicate",
 ]
@@ -27,12 +28,6 @@ def delta_eigenvalue(rho: complex) -> complex:
     """Eigenvalue (rho - 1/2)^2 - 1/4 attached to a zero rho."""
     rho = complex(rho)
     return (rho - 0.5) ** 2 - 0.25
-
-
-def conjugated_delta_multiplier(z: complex) -> complex:
-    """-z(1-z), the multiplication operator conjugate to the Laplacian."""
-    z = complex(z)
-    return -z * (1.0 - z)
 
 
 def rh_predicate(rho: complex) -> bool:
@@ -68,16 +63,17 @@ _CHECK_POINTS = np.linspace(-9.5, 9.5, 20)
 
 
 def delta_on_test_function(g: TestFunction) -> tuple[TestFunction, float]:
-    """Apply H(1+H) symbolically and measure the Mellin multiplier -(z^2+1/4).
+    """Apply H(1+H) symbolically and check that its Mellin multiplier is the
+    Laplacian's eigenvalue at 1/2 + iz, -(z^2 + 1/4).
 
     Returns the image and the worst absolute residual of
-    psi_image(z) + (z^2 + 1/4) psi_g(z) over 20 real sample points.
+    psi_image(z) - delta_eigenvalue(1/2 + iz) psi_g(z) over 20 real points.
     """
     image = apply_H(apply_one_plus_H(g))
     worst = 0.0
     for z in _CHECK_POINTS:
         lhs = mellin_psi(image, z)[0]
-        rhs = -(z * z + 0.25) * mellin_psi(g, z)[0]
+        rhs = delta_eigenvalue(0.5 + 1j * z) * mellin_psi(g, z)[0]
         worst = max(worst, abs(lhs - rhs))
     return image, worst
 

@@ -26,7 +26,6 @@ __all__ = [
     "TestFunction",
     "apply_H",
     "apply_one_plus_H",
-    "canonical_vector",
     "default_family",
     "gaussian_seed",
     "linear_combination",
@@ -164,15 +163,6 @@ def make_test_function(k: int) -> TestFunction:
     if not 0 <= k <= 8:
         raise ValueError("family index k must be in [0, 8]")
     return TestFunction(apply_H(apply_one_plus_H(gaussian_seed(k))).coeffs, label=f"f{k}")
-
-
-def canonical_vector() -> TestFunction:
-    """(2 pi x^2 - 1) exp(-pi x^2): the closed-form worked example.
-
-    Mean-zero but with f(0) = -1, so it sits outside the f_k family; its
-    transform is (1/4) pi^(-1/4+iz/2) (-1-2iz) Gamma(1/4-iz/2).
-    """
-    return TestFunction((-1.0, 2.0 * math.pi), label="canonical")
 
 
 def linear_combination(

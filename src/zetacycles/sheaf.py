@@ -33,11 +33,11 @@ __all__ = [
     "jordan_structure",
     "make_section",
     "quotient_jets",
+    "read_section",
     "section_from_payload",
     "section_to_payload",
     "synthetic_generator",
     "theta_on_sections",
-    "vanishing_certificate",
     "write_jet_csv",
     "zeta_generator",
 ]
@@ -382,30 +382,6 @@ def write_jet_csv(path: str | Path, jets: Sequence[JetEntry]) -> None:
                 for order, v in enumerate(values):
                     writer.writerow([f"{e.ordinate:.14f}", f"{e.location:.14f}", slot,
                                      order, f"{v.real:.16e}", f"{v.imag:.16e}"])
-
-
-def vanishing_certificate(section: GlobalSection) -> tuple[float, bool]:
-    """Fit C on the upper half of the lowest grid decade, test the lower half.
-
-    Returns (C, ok) where ok means |f_(+-)(L)| <= 2 C L^order holds down to
-    the grid start. A section with order 0 certifies trivially.
-    """
-    k = section.vanishing_order_at_zero
-    grid = section.grid
-    decade_end = grid[0] * 10.0
-    mask = grid <= decade_end
-    if np.count_nonzero(mask) < 4:
-        return (math.inf, True)
-    pts = grid[mask]
-    mags = np.maximum(np.abs(section.f_plus[mask]), np.abs(section.f_minus[mask]))
-    split = pts[0] * math.sqrt(10.0)
-    upper = pts >= split
-    lower = ~upper
-    if not upper.any() or not lower.any():
-        return (math.inf, True)
-    C = float(np.max(mags[upper] / pts[upper] ** k))
-    ok = bool(np.all(mags[lower] <= 2.0 * C * pts[lower] ** k + 1e-300))
-    return (C, ok)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,27 @@ def test_missing_values_and_failures(ab):
 def test_seed_ranges(ab):
     assert ab._seeds("81-84") == [81, 82, 83, 84]
     assert ab._seeds("7") == [7]
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_prefix(ab, tmp_path, monkeypatch):
+    """Neither side reads a checkout's __pycache__: each run's interpreter
+    writes and reads bytecode under its own new, empty directory."""
+    (tmp_path / "zcbench" / "_out").mkdir(parents=True)
+    (tmp_path / "zcbench" / "_out" / "probe-seed3-trace0.json").write_text(
+        json.dumps({"outcomes": {"detect": {"ok_ms_p50": 1.0}}}))
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 0.3}}})
+    prefixes = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        assert tmp_path not in prefix.parents
+        assert env["PATH"] == os.environ["PATH"]
+        assert cwd == tmp_path and "--trace" in argv
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert ab.run_once(tmp_path, "probe", 3, 1.0)["metrics"] == {"wall_s": 0.3}
+    assert prefixes[0] != prefixes[1]

@@ -13,13 +13,19 @@ from test_cycles import match_one_to_one, predicted_cycles
 from test_laplacian import probe_points
 from zetacycles.cycles import covering_stability, detect, scan
 from zetacycles.laplacian import (
-    conjugated_delta_multiplier,
     delta_eigenvalue,
+    delta_on_test_function,
     direct_membership,
     rh_predicate,
 )
-from zetacycles.operators import fourier_closed, fourier_direct, trace_identity_check
-from zetacycles.schwartz import linear_combination, mellin_psi
+from zetacycles.operators import (
+    covering_sigma,
+    fourier_closed,
+    fourier_direct,
+    scaling_theta,
+    trace_identity_check,
+)
+from zetacycles.schwartz import gaussian_seed, linear_combination, mellin_psi
 from zetacycles.sheaf import (
     SampledFunction,
     circle_at,
@@ -109,7 +115,26 @@ def test_criterion_4_covering_stability(family, zeros60):
             L_STAR + sign * 1e-3, family, t_max=60.0, zeros=zeros60
         )
         assert not perturbed.verdict
-    print("criterion 4: multiples {2,3,4} verified, both perturbations negative")
+
+    # the covering sigma_n folds the closed coefficients of the circle n L*
+    # onto those of L*, and commutes with the scaling action theta(lambda)
+    worst_fold = worst_commute = 0.0
+    for f in family:
+        base = fourier_closed(f, L_STAR, 4).coeffs
+        scale = float(np.max(np.abs(base)))
+        for n in (2, 3, 4):
+            xi = fourier_closed(f, n * L_STAR, n * 4)
+            folded = covering_sigma(xi, n)
+            worst_fold = max(worst_fold, float(np.max(np.abs(folded.coeffs - base))) / scale)
+            left = covering_sigma(scaling_theta(2.0, xi), n).coeffs
+            right = scaling_theta(2.0, folded).coeffs
+            worst_commute = max(worst_commute, float(np.max(np.abs(left - right))) / scale)
+    print(
+        "criterion 4: multiples {2,3,4} verified, both perturbations negative,"
+        f" covering fold {worst_fold:.3e}, covering vs scaling {worst_commute:.3e}"
+    )
+    assert worst_fold <= 1e-12
+    assert worst_commute <= 1e-12
 
 
 def test_criterion_5_trace_identity(family):
@@ -151,16 +176,11 @@ def test_criterion_7_laplacian_negativity(zeros60):
     assert worst_eig <= 1e-12
 
     rng = np.random.default_rng(17)
-    disagreements = 0
-    worst_mult = 0.0
-    for rho in probe_points(rng, 10_000):
-        if rh_predicate(rho) != direct_membership(rho):
-            disagreements += 1
-        value = conjugated_delta_multiplier(rho)
-        target = delta_eigenvalue(rho)
-        worst_mult = max(
-            worst_mult, abs(value - target) / (1.0 + abs(target))
-        )
+    disagreements = sum(
+        rh_predicate(rho) != direct_membership(rho) for rho in probe_points(rng, 10_000)
+    )
+    # H(1+H) acts on the Mellin side as multiplication by delta_eigenvalue(1/2 + iz)
+    worst_mult = max(delta_on_test_function(gaussian_seed(k))[1] for k in range(3))
     print(
         f"criterion 7: eigenvalue residual {worst_eig:.3e},"
         f" {disagreements}/10000 predicate disagreements,"

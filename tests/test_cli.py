@@ -310,6 +310,36 @@ class TestCacheGate:
         assert err.count("\n") == 1
 
 
+class TestWiderCache:
+    """A cache built for a larger t_max serves each command only its zeros at
+    or below the command's own t_max."""
+
+    @pytest.fixture(autouse=True)
+    def wide_cache(self):
+        seed_cache(250.0)
+
+    def test_zeros_reports_the_count_below_its_t_max(self, tmp_path):
+        seed_cache(20.0)
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report == {"command": "zeros", "cache": "zeros.csv", "count": 1, "reused": True}
+
+    def test_laplacian_writes_the_rows_below_its_t_max(self, tmp_path):
+        assert run("laplacian") == cli.EXIT_OK
+        lines = (tmp_path / "reports" / "laplacian.csv").read_text().splitlines()
+        assert len(lines) == 1 + 13
+        assert float(lines[-1].split(",")[0]) <= 60.0
+
+    def test_jets_read_only_the_zeros_on_their_grid(self, tmp_path):
+        zeros = specfun.find_zeros(0.0, 60.0)
+        grid = build_section_grid(60.0, zeros)
+        section = GlobalSection(grid, np.ones(grid.size), np.ones(grid.size))
+        section_file = tmp_path / "section.json"
+        section_file.write_text(json.dumps(section_to_payload(section)))
+        assert run("jets", str(section_file)) == cli.EXIT_OK
+        lines = (tmp_path / "reports" / "jets.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * len(zeros)
+
+
 class TestDetect:
     def test_positive_verdict(self, tmp_path):
         seed_cache(20.0)
@@ -318,6 +348,21 @@ class TestDetect:
         assert payload["verdict"] is True
         assert payload["flagged"] == [-1, 1]
         assert payload["matched"][0]["distance"] <= 1e-9
+
+    def test_no_listed_zero_writes_null_distance(self, tmp_path):
+        """A flagged row with no zero in the cache has no distance; the report
+        stays JSON, without the Infinity constant."""
+        seed_cache(10.0)
+        assert run("--t-max", "10", "--tol", "2", "detect", "1.0") == cli.EXIT_OK
+        text = (tmp_path / "reports" / "detect.json").read_text()
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(text, parse_constant=no_constant)
+        assert payload["flagged"] == [-1, 1]
+        assert [(m["matched_zero"], m["distance"]) for m in payload["matched"]] == [
+            (None, None), (None, None)]
 
     def test_negative_verdict_still_exits_zero(self, tmp_path):
         seed_cache(20.0)

@@ -1,4 +1,4 @@
-"""Cycle detection: row scores, scans, coverings, the complement spectrum."""
+"""Cycle detection: row scores, scans, coverings."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 from _oracle_frozen import ZERO_ORDINATES
 from zetacycles import cycles
 from zetacycles.cycles import (
-    EmptySpectrumError,
     FamilyDegenerateError,
-    complement_spectrum,
     covering_stability,
     detect,
     mode_count,
@@ -247,18 +245,6 @@ class TestCovering:
     def test_negative_base_rejected(self, family, zeros20):
         with pytest.raises(ValueError):
             covering_stability(0.41, [1, 2], family, t_max=20.0, zeros=zeros20)
-
-
-class TestComplementSpectrum:
-    def test_flagged_frequencies(self, family, zeros20):
-        report = detect(L_STAR, family, t_max=20.0, zeros=zeros20)
-        spectrum = complement_spectrum(report)
-        assert spectrum == pytest.approx([-T1, T1], abs=1e-9)
-
-    def test_empty_raises(self, family, zeros20):
-        report = detect(0.41, family, t_max=20.0, zeros=zeros20)
-        with pytest.raises(EmptySpectrumError):
-            complement_spectrum(report)
 
 
 def test_mode_count_covers_band():

@@ -6,7 +6,6 @@ import pytest
 from _oracle_frozen import ZERO_ORDINATES
 from zetacycles.laplacian import (
     QuotientEigenvalue,
-    conjugated_delta_multiplier,
     delta_eigenvalue,
     delta_on_test_function,
     direct_membership,
@@ -14,7 +13,13 @@ from zetacycles.laplacian import (
     quotient_spectrum,
     rh_predicate,
 )
-from zetacycles.schwartz import gaussian_seed, make_test_function
+from zetacycles.schwartz import (
+    apply_H,
+    apply_one_plus_H,
+    gaussian_seed,
+    make_test_function,
+    mellin_psi,
+)
 
 
 def probe_points(rng, count):
@@ -50,12 +55,17 @@ class TestEigenvalueAlgebra:
             assert e.real == pytest.approx(-(t * t + 0.25), rel=1e-15)
 
     def test_multiplier_agrees_with_eigenvalue(self):
+        # H(1+H) multiplies psi by the eigenvalue at 1/2 + iz, also off the
+        # real z that delta_on_test_function samples
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            z = complex(rng.uniform(-1, 2), rng.uniform(-50, 50))
-            value = conjugated_delta_multiplier(z)
-            target = delta_eigenvalue(z)
-            assert abs(value - target) <= 1e-14 * (1.0 + abs(target))
+        for k in range(3):
+            g = gaussian_seed(k)
+            image = apply_H(apply_one_plus_H(g))
+            for _ in range(100):
+                z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-0.45, 3.0))
+                lhs = mellin_psi(image, z)[0]
+                rhs = delta_eigenvalue(0.5 + 1j * z) * mellin_psi(g, z)[0]
+                assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_predicate_matches_direct_membership(self):
         rng = np.random.default_rng(11)

@@ -19,7 +19,6 @@ from zetacycles.schwartz import (
     RepresentationError,
     apply_H,
     apply_one_plus_H,
-    canonical_vector,
     default_family,
     gaussian_seed,
     linear_combination,
@@ -55,19 +54,21 @@ class TestFamilyConstruction:
             rule = [2 * j * c[j] - 2 * pi * (c[j - 1] if j else 0.0) for j in range(k + 3)]
             assert make_test_function(k).coeffs == tuple(rule)
 
-    def test_canonical_vector(self):
-        f = canonical_vector()
-        assert f.coeffs == (-1.0, 2.0 * math.pi)
-        assert f(0.0) == -1.0
+    def test_canonical_vector(self, canonical):
+        # (2 pi x^2 - 1) exp(-pi x^2), outside the f_k family since f(0) = -1
+        assert canonical(0.0) == -1.0
+        for x in (0.3, 1.0, 2.5):
+            expected = (2.0 * math.pi * x * x - 1.0) * math.exp(-math.pi * x * x)
+            assert canonical(x) == pytest.approx(expected, rel=1e-14)
 
     def test_member_vanishes_at_origin(self):
         for f in default_family():
             assert f.coeffs[0] == 0.0
             assert f(0.0) == 0.0
 
-    def test_member_mean_zero(self):
+    def test_member_mean_zero(self, canonical):
         # integral of H(1+H)g vanishes identically; check via moments
-        for f in default_family() + [canonical_vector()]:
+        for f in default_family() + [canonical]:
             total = sum(
                 c * gaussian_moment(j, math.pi)
                 for j, c in enumerate(f.coeffs)
@@ -128,8 +129,8 @@ class TestMellin:
         assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
     @pytest.mark.parametrize("z,expected", list(PSI_CANONICAL_SAMPLES.items()))
-    def test_frozen_canonical(self, z, expected):
-        got = mellin_psi(canonical_vector(), z)[0]
+    def test_frozen_canonical(self, canonical, z, expected):
+        got = mellin_psi(canonical, z)[0]
         assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
     def test_closed_form_against_mpmath(self, family, canonical):

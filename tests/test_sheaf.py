@@ -31,7 +31,6 @@ from zetacycles.sheaf import (
     section_to_payload,
     synthetic_generator,
     theta_on_sections,
-    vanishing_certificate,
     write_jet_csv,
     zeta_generator,
 )
@@ -426,26 +425,6 @@ class TestIdealMembership:
         f = SampledFunction(section_grid, np.ones(section_grid.size))
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             ideal_membership(f, synthetic_generator(1.0), tol=bad)
-
-
-class TestVanishingCertificate:
-    def test_true_order_six_passes(self, section_grid):
-        vals = np.array([L**6 * (1.0 + 0.1 * math.sin(L)) for L in section_grid])
-        sec = GlobalSection(section_grid, vals, vals, 6)
-        C, ok = vanishing_certificate(sec)
-        assert ok
-        assert 0.5 < C < 2.0
-
-    def test_flat_section_fails_claimed_order(self, section_grid):
-        ones = np.ones(section_grid.size)
-        _, ok = vanishing_certificate(GlobalSection(section_grid, ones, ones, 6))
-        assert not ok
-
-    def test_order_zero_trivial(self, section_grid):
-        ones = np.ones(section_grid.size)
-        C, ok = vanishing_certificate(GlobalSection(section_grid, ones, ones, 0))
-        assert ok
-        assert C == pytest.approx(1.0)
 
 
 class TestJordanStructure:
