@@ -153,6 +153,14 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _zeros_up_to(cache: Path, t_max: float) -> list[ZetaZero]:
     """The cached zeros at or below t_max: a cache built for a larger t_max
     holds more, which no command at this t_max may read."""
@@ -211,12 +219,8 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     zeros = load_zeros(cfg)
     lo, hi = cfg.L_window
     result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max, zeros)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "min_row_score"])
-        for L, score in result.grid:
-            writer.writerow([f"{L:.10f}", f"{score:.16e}"])
+    _write_csv(out_dir / "scan.csv", ["L", "min_row_score"],
+               ([f"{L:.10f}", f"{score:.16e}"] for L, score in result.grid))
     _write_json(
         out_dir / "dips.json",
         # each dip is the cached zero zero_index (from 0), whose ordinate is s
@@ -232,9 +236,9 @@ def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     report = cycles.detect(args.L, _family(cfg), cfg.t_max, cfg.tol, zeros=zeros)
     payload = {
         "command": "detect",
-        "L": report.L,
-        "tol": report.tol,
-        "t_max": report.t_max,
+        "L": args.L,
+        "tol": cfg.tol,
+        "t_max": cfg.t_max,
         "verdict": report.verdict,
         "flagged": list(report.flagged),
         "matched": [
@@ -294,28 +298,28 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_laplacian(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
-    out_dir = Path(cfg.output_dir)
-    zeros = load_zeros(cfg)
-    rows = laplacian.negativity_rows(zeros)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "laplacian.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ordinate", "eigenvalue", "negativity_ok"])
-        for ordinate, value, ok in rows:
-            writer.writerow([f"{ordinate:.14f}", f"{value:.16e}", ok])
+    rows = laplacian.negativity_rows(load_zeros(cfg))
+    header = ["ordinate", "eigenvalue", "negativity_ok"]
+    _write_csv(Path(cfg.output_dir) / "laplacian.csv", header,
+               ([f"{ordinate:.14f}", f"{value:.16e}", ok] for ordinate, value, ok in rows))
     return (EXIT_OK if all(ok for _, _, ok in rows) else EXIT_ASSERTION), {}
 
 
 def cmd_jets(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
-    out_dir = Path(cfg.output_dir)
     path = Path(args.section)
     if not path.exists():
         raise MissingCacheError(f"section file {path} not found")
     zeros = load_zeros(cfg)
-    section = sheaf.read_section(path)
-    jets = sheaf.quotient_jets(section, zeros)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sheaf.write_jet_csv(out_dir / "jets.csv", jets)
+    jets = sheaf.quotient_jets(sheaf.read_section(path), zeros)
+    rows = (
+        [f"{e.ordinate:.14f}", f"{e.location:.14f}", slot, order,
+         f"{v.real:.16e}", f"{v.imag:.16e}"]
+        for e in jets
+        for slot, values in (("plus", e.jets_plus), ("minus", e.jets_minus))
+        for order, v in enumerate(values)
+    )
+    header = ["t_k", "L_k", "slot", "order", "jet_re", "jet_im"]
+    _write_csv(Path(cfg.output_dir) / "jets.csv", header, rows)
     return EXIT_OK, {}
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _positive
 from .schwartz import TestFunction, mellin_psi, mellin_psi_many
 from .specfun import (
     _GRID_BLOCK,
@@ -52,6 +53,12 @@ _PSI_FLOOR = 1e-250
 
 _SCAN_CELLS = 1 << 16  # (L, n) cells per scan chunk: about 0.5 MB per work array
 
+# Input limits, checked before any evaluation: mode_count at detect's L and
+# scan's L_max (detect scores each row in one scalar call), and the lengths
+# of scan's grid.
+_MAX_MODES = 10**5
+_MAX_LENGTHS = 10**6
+
 
 class FamilyDegenerateError(ValueError):
     """All Mellin factors vanish at some row frequency; scores undefined."""
@@ -67,13 +74,10 @@ class MatchedZero:
 
 @dataclass(frozen=True)
 class CycleReport:
-    L: float
     zeta_scores: dict[int, float]
     flagged: list[int]
     matched_zeros: list[MatchedZero]
     verdict: bool
-    tol: float
-    t_max: float
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,12 @@ class ScanResult:
 def mode_count(L: float, t_max: float) -> int:
     """The largest mode N with row frequency 2 pi N / L <= t_max, that frequency
     computed as scan computes it: floor(L t_max / 2 pi), off by one where the
-    rounding of either side crosses an integer."""
-    n = math.floor(L * t_max / _TWO_PI)
+    rounding of either side crosses an integer. Raises ValueError when
+    L t_max / 2 pi exceeds _MAX_MODES or is infinite, before math.floor."""
+    modes = float(L) * t_max / _TWO_PI  # a float overflows to inf without a warning
+    if not modes <= _MAX_MODES:
+        raise ValueError(f"L t_max / 2 pi = {modes:.6g} modes exceeds the limit of {_MAX_MODES}")
+    n = math.floor(modes)
     return next(m for m in (n + 1, n, n - 1) if _TWO_PI * m / L <= t_max)
 
 
@@ -116,13 +124,6 @@ def _row_data(L: float, family: list[TestFunction], t_max: float) -> tuple[int, 
     return n_modes, scores
 
 
-def _nearest_zero(s: float, zeros: list[ZetaZero]) -> tuple[ZetaZero | None, float]:
-    if not zeros:
-        return None, math.inf
-    best = min(zeros, key=lambda z: abs(z.ordinate - abs(s)))
-    return best, abs(best.ordinate - abs(s))
-
-
 def detect(
     L: float,
     family: list[TestFunction],
@@ -135,14 +136,11 @@ def detect(
     The rows are the modes n != 0 with frequency |2 pi n / L| <= t_max; a row
     is flagged when its score |zeta(1/2 + 2 pi i n / L)| is below tol.
     """
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"circle length L must be positive and finite, got {L}")
+    _positive("circle length L", L)
     if not family:
         raise ValueError("family must be nonempty")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    _positive("tol", tol)
+    _positive("t_max", t_max)
     n_modes, scores = _row_data(L, family, t_max)
     zeta_scores = dict(zip(range(-n_modes, n_modes + 1), scores))
     flagged = [n for n, score in zeta_scores.items() if n != 0 and score < tol]
@@ -151,17 +149,10 @@ def detect(
     matched = []
     for n in flagged:
         s = _TWO_PI * n / L
-        zero, dist = _nearest_zero(s, zeros or [])
+        zero = min(zeros or [], key=lambda z: abs(z.ordinate - abs(s)), default=None)
+        dist = math.inf if zero is None else abs(zero.ordinate - abs(s))
         matched.append(MatchedZero(n, s, zero, dist))
-    return CycleReport(
-        L=L,
-        zeta_scores=zeta_scores,
-        flagged=flagged,
-        matched_zeros=matched,
-        verdict=bool(flagged),
-        tol=tol,
-        t_max=t_max,
-    )
+    return CycleReport(zeta_scores, flagged, matched, bool(flagged))
 
 
 def scan(
@@ -192,8 +183,11 @@ def scan(
         raise ValueError("need 0 < L_min < L_max")
     if step <= 0.0:
         raise ValueError("step must be positive")
+    steps = (L_max - L_min) / step
+    if not steps + 1.0 <= _MAX_LENGTHS:  # an infinite count too, before math.floor
+        raise ValueError(f"a grid of {steps + 1.0:.6g} lengths exceeds the limit of {_MAX_LENGTHS}")
     started = time.perf_counter()
-    l_values = L_min + step * np.arange(int(math.floor((L_max - L_min) / step + 1e-9)) + 1)
+    l_values = L_min + step * np.arange(int(math.floor(steps + 1e-9)) + 1)
     if L_max - l_values[-1] > 1e-9 * step:
         l_values = np.append(l_values, L_max)
     count = l_values.size
@@ -201,8 +195,9 @@ def scan(
         raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L_min:g}")
 
     # |zeta| is the row score: one zeta_critical_many call per chunk of at most
-    # _SCAN_CELLS (L, n >= 1) cells, at the pairs with 2 pi n / L <= t_max
-    n = np.arange(1, math.floor(l_values[-1] * t_max / _TWO_PI) + 2)
+    # _SCAN_CELLS (L, n >= 1) cells, at the pairs with 2 pi n / L <= t_max and
+    # each row's edge cell
+    n = np.arange(1, mode_count(l_values[-1], t_max) + 1)
     rows = max(1, _SCAN_CELLS // n.size)
     best = np.empty(count)
     l_next = np.append(l_values[1:], l_values[-1])
@@ -216,18 +211,18 @@ def scan(
         # each row's last cell above t_max, for the sign of Z there (none at L_max)
         s_next = _TWO_PI * n / l_next[chunk, None]
         edge = ~pairs & (s_next <= t_max) & (s <= VALIDATED_T_MAX)
-        t = s[pairs]
+        cells = pairs | edge
+        t = s[cells]
         zeta = zeta_critical_many(t)[0]
         scores = np.full(s.shape, np.inf)
-        scores[pairs] = np.abs(zeta)
+        scores[pairs] = np.abs(zeta[pairs[cells]])
         best[chunk] = scores.min(axis=1)
-        zeta_points += t.size
         zeta_blocks += -(-t.size // _GRID_BLOCK)
+        zeta_points += int(np.count_nonzero(pairs))
+        edge_points += int(np.count_nonzero(edge))
 
         z_rows = np.full(s.shape, np.nan)  # NaN off the pairs and edges: it brackets nothing
-        z_rows[pairs] = rotate_to_Z(t, zeta)
-        z_rows[edge] = rotate_to_Z(s[edge], zeta_critical_many(s[edge])[0])
-        edge_points += int(np.count_nonzero(edge))
+        z_rows[cells] = rotate_to_Z(t, zeta)
         s, z_rows = np.vstack([s_last, s]), np.vstack([z_last, z_rows])
         i, j = _sign_changes(z_rows)  # frequency falls as L grows: s[i + 1] < s[i]
         brackets.append((n[j], s[i + 1, j], s[i, j]))

@@ -4,20 +4,16 @@ negativity predicate equivalent to the critical-line statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .schwartz import TestFunction, apply_H, apply_one_plus_H, mellin_psi
 from .specfun import ZetaZero
 
 __all__ = [
-    "QuotientEigenvalue",
     "delta_eigenvalue",
     "delta_on_test_function",
     "direct_membership",
     "negativity_rows",
-    "quotient_spectrum",
     "rh_predicate",
 ]
 
@@ -40,25 +36,6 @@ def rh_predicate(rho: complex) -> bool:
     return abs(e.imag) <= _IM_TOL and e.real <= 0.0
 
 
-@dataclass(frozen=True)
-class QuotientEigenvalue:
-    rho: complex
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
-
-    @property
-    def value(self) -> complex:
-        return delta_eigenvalue(self.rho)
-
-
-def quotient_spectrum(zeros: list[ZetaZero]) -> list[QuotientEigenvalue]:
-    """Eigenvalue data over cached critical zeros: all real, all negative."""
-    return [QuotientEigenvalue(0.5 + 1j * z.ordinate, z.multiplicity) for z in zeros]
-
-
 _CHECK_POINTS = np.linspace(-9.5, 9.5, 20)
 
 
@@ -79,8 +56,13 @@ def delta_on_test_function(g: TestFunction) -> tuple[TestFunction, float]:
 
 
 def negativity_rows(zeros: list[ZetaZero]) -> list[tuple[float, float, bool]]:
-    """(ordinate, eigenvalue, negativity_ok) rows for reporting."""
-    return [(q.rho.imag, q.value.real, rh_predicate(q.rho)) for q in quotient_spectrum(zeros)]
+    """(ordinate, eigenvalue, negativity_ok) rows for reporting, one per zero
+    rho = 1/2 + i t_k."""
+    rows = []
+    for z in zeros:
+        rho = 0.5 + 1j * z.ordinate
+        rows.append((z.ordinate, delta_eigenvalue(rho).real, rh_predicate(rho)))
+    return rows
 
 
 def direct_membership(rho: complex) -> bool:

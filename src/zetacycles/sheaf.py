@@ -6,7 +6,6 @@ block structure of the scaling action on quotient jets.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -24,7 +23,6 @@ __all__ = [
     "JetEntry",
     "JetWitness",
     "JordanReport",
-    "SampledFunction",
     "UnderResolvedGridError",
     "build_section_grid",
     "circle_at",
@@ -38,7 +36,6 @@ __all__ = [
     "section_to_payload",
     "synthetic_generator",
     "theta_on_sections",
-    "write_jet_csv",
     "zeta_generator",
 ]
 
@@ -75,18 +72,6 @@ def _as_samples(values: Sequence[complex], grid: np.ndarray, name: str) -> np.nd
     if not np.isfinite(vals).all():
         raise ValueError(f"{name} must be finite")
     return vals
-
-
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
-    """Complex samples of a smooth function on an increasing positive grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", _as_grid(self.grid))
-        object.__setattr__(self, "values", _as_samples(self.values, self.grid, "values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,21 +218,14 @@ def theta_on_sections(lam: float, section: GlobalSection) -> GlobalSection:
     )
 
 
-def _local_nodes(grid: np.ndarray, x0: float, count: int) -> np.ndarray:
-    """Ascending indices of the count grid points nearest x0."""
-    if grid.size < count:
-        raise UnderResolvedGridError(
-            f"only {grid.size} grid points near {x0}, need {count}"
-        )
-    return np.sort(np.argsort(np.abs(grid - x0))[:count])
-
-
 def _stencil(grid: np.ndarray, x0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the local nodes at x0, and their weights for derivatives
-    0..order (one row per order)."""
+    """Ascending indices of the order + _JET_EXTRA_NODES grid points nearest
+    x0, and their weights for derivatives 0..order (one row per order)."""
     if not (grid[0] * (1.0 - 1e-12) <= x0 <= grid[-1] * (1.0 + 1e-12)):
         raise UnderResolvedGridError(f"jet point {x0} outside the grid range")
-    idx = _local_nodes(grid, x0, order + _JET_EXTRA_NODES)
+    if grid.size < (count := order + _JET_EXTRA_NODES):
+        raise UnderResolvedGridError(f"only {grid.size} grid points near {x0}, need {count}")
+    idx = np.sort(np.argsort(np.abs(grid - x0))[:count])
     return idx, finite_difference_weights(x0, grid[idx], order)
 
 
@@ -270,9 +248,6 @@ class IdealGenerator:
         for L_k, m_k in self.zeros:
             _positive("zero location", L_k)
             _count("zero order", m_k)
-        self._check_vanishing()
-
-    def _check_vanishing(self) -> None:
         # small centered stencil per declared zero; order-m vanishing means
         # jets through m-1 are negligible against the local function scale
         for L_k, m_k in self.zeros:
@@ -324,24 +299,29 @@ class JetWitness:
 
 
 def ideal_membership(
-    f: SampledFunction,
+    grid: Sequence[float],
+    values: Sequence[complex],
     g: IdealGenerator,
     tol: float = 1e-3,
 ) -> tuple[bool, list[JetWitness]]:
-    """Whitney-style membership: jets of f through order m_k - 1 vanish.
+    """Whitney-style membership of the function sampled as values on grid:
+    its jets through order m_k - 1 vanish. The grid and samples meet the
+    checks of GlobalSection.
 
     Scores are dimensionless: |jet_j| spread^j / (j! local_scale), so a
     function of order-1 magnitude that fails to vanish scores near 1 while
     genuine members score at rounding level.
     """
+    grid = _as_grid(grid)
+    values = _as_samples(values, grid, "values")
     _positive("tol", tol)
     witnesses: list[JetWitness] = []
     for L_k, m_k in g.zeros:
-        stencil = _stencil(f.grid, L_k, m_k - 1)
+        stencil = _stencil(grid, L_k, m_k - 1)
         idx = stencil[0]
-        spread = float(np.median(np.abs(f.grid[idx] - L_k)))
-        local_scale = max(float(np.max(np.abs(f.values[idx]))), 1e-300)
-        for j, jet in enumerate(_jet(stencil, f.values)):
+        spread = float(np.median(np.abs(grid[idx] - L_k)))
+        local_scale = max(float(np.max(np.abs(values[idx]))), 1e-300)
+        for j, jet in enumerate(_jet(stencil, values)):
             score = abs(jet) * spread**j / (math.factorial(j) * local_scale)
             if score > tol:
                 witnesses.append(JetWitness(L_k, j, jet, score))
@@ -370,18 +350,6 @@ def quotient_jets(section: GlobalSection, zeros: Sequence[ZetaZero]) -> tuple[Je
         entries.append(JetEntry(z.ordinate, L_k, tuple(_jet(stencil, section.f_plus)),
                                 tuple(_jet(stencil, section.f_minus))))
     return tuple(entries)
-
-
-def write_jet_csv(path: str | Path, jets: Sequence[JetEntry]) -> None:
-    """One row per entry, slot and order: t_k, L_k, slot, order, jet_re, jet_im."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_k", "L_k", "slot", "order", "jet_re", "jet_im"])
-        for e in jets:
-            for slot, values in (("plus", e.jets_plus), ("minus", e.jets_minus)):
-                for order, v in enumerate(values):
-                    writer.writerow([f"{e.ordinate:.14f}", f"{e.location:.14f}", slot,
-                                     order, f"{v.real:.16e}", f"{v.imag:.16e}"])
 
 
 @dataclass(frozen=True)

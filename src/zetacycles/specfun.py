@@ -309,49 +309,35 @@ def _bound_error(bound: float, t: float) -> AccuracyError:
     )
 
 
-def _rotation_error(residual: float, t: float) -> AccuracyError:
-    return AccuracyError(f"rotation residual {residual:.3g} at t = {t:.6g} exceeds 1e-9")
-
-
-def _zeta_on_line(t: float, riemann_siegel: bool = False) -> tuple[complex, float]:
-    """(zeta(1/2+it), certified bound) for t >= 0, within the target error:
-    by Euler-Maclaurin, or by Riemann-Siegel if asked."""
-    if t > VALIDATED_T_MAX:
-        raise _range_error(t)
-    if riemann_siegel:
-        z_val, bound = _riemann_siegel_raw(t)
-        value = z_val * cmath.exp(-1j * siegel_theta(t))
-    else:
-        value, bound = _zeta_euler_maclaurin(t)
-    if bound > _POLICY.target_abs_error:
-        raise _bound_error(bound, t)
-    return value, bound
-
-
 def zeta_critical(t: float) -> complex:
     """zeta(1/2 + it) for real t, to within the target error: Riemann-Siegel
     at or above the policy's rs_threshold, Euler-Maclaurin below it."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    value, _ = _zeta_on_line(abs(t), abs(t) >= _POLICY.rs_threshold)
+    a = abs(t)
+    if a > VALIDATED_T_MAX:
+        raise _range_error(a)
+    if a >= _POLICY.rs_threshold:
+        z_val, bound = _riemann_siegel_raw(a)
+        value = z_val * cmath.exp(-1j * siegel_theta(a))
+    else:
+        value, bound = _zeta_euler_maclaurin(a)
+    if bound > _POLICY.target_abs_error:
+        raise _bound_error(bound, a)
     return value.conjugate() if t < 0.0 else value
 
 
 def riemann_siegel_Z(t: float) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued rotation of zeta, on
-    Euler-Maclaurin under the guards of zeta_critical and the 1e-9 residual
-    guard of rotate_to_Z."""
+    """Z(t) = e^{i theta(t)} zeta(1/2+it) at one point t >= 0: rotate_to_Z over
+    zeta_critical_many, on Euler-Maclaurin under their guards."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     if t < 0.0:
         raise ValueError("riemann_siegel_Z requires t >= 0")
-    zeta_val, _ = _zeta_on_line(t)
-    rotated = cmath.exp(1j * siegel_theta(t)) * zeta_val
-    if abs(rotated.imag) > 1e-9:
-        raise _rotation_error(rotated.imag, t)
-    return rotated.real
+    point = np.array([t])
+    return float(rotate_to_Z(point, zeta_critical_many(point)[0])[0])
 
 
 _GRID_BLOCK = 256  # points per Euler-Maclaurin block: 256 (t/2 + 10) terms, 0.6 MB at t = 260
@@ -383,10 +369,12 @@ def zeta_critical_many(t) -> tuple[np.ndarray, np.ndarray]:
 def rotate_to_Z(t: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) at each point of an array of t >= 0,
     given zeta there; raises if an imaginary residual of the rotation exceeds
-    1e-9, as riemann_siegel_Z does at one point."""
+    1e-9."""
     rotated = np.exp(1j * siegel_theta(t)) * zeta
     if (over := np.abs(rotated.imag) > 1e-9).any():
-        raise _rotation_error(rotated.imag[over.argmax()], t[over.argmax()])
+        i = over.argmax()
+        raise AccuracyError(f"rotation residual {rotated.imag[i]:.3g} at t = {t[i]:.6g}"
+                            " exceeds 1e-9")
     return rotated.real
 
 

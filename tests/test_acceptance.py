@@ -27,7 +27,6 @@ from zetacycles.operators import (
 )
 from zetacycles.schwartz import gaussian_seed, linear_combination, mellin_psi
 from zetacycles.sheaf import (
-    SampledFunction,
     circle_at,
     gamma_inverse,
     ideal_membership,
@@ -232,12 +231,10 @@ def test_criterion_8_sheaf_layer(section_grid, zeros60):
     for i in range(50):
         h = 2.0 + np.sin((1.0 + 0.1 * i) * section_grid)
         gen, base = (zg, gvals) if i % 2 == 0 else (sg, svals)
-        member, _ = ideal_membership(SampledFunction(section_grid, h * base), gen)
+        member, _ = ideal_membership(section_grid, h * base, gen)
         correct += bool(member)
         deficient = h if i % 4 < 2 else h * (section_grid - 1.0)
-        bad, witnesses = ideal_membership(
-            SampledFunction(section_grid, deficient), sg
-        )
+        bad, witnesses = ideal_membership(section_grid, deficient, sg)
         correct += not bad
         if witnesses:
             min_nonmember = min(min_nonmember, max(w.score for w in witnesses))

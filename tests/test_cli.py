@@ -13,7 +13,9 @@ import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
 from zetacycles import cli, laplacian, operators, specfun
-from zetacycles.sheaf import build_section_grid, section_to_payload, GlobalSection
+from zetacycles.sheaf import (
+    GlobalSection, build_section_grid, make_section, quotient_jets, section_to_payload,
+)
 from zetacycles.specfun import ZetaZero
 
 L_STAR = 2.0 * math.pi / ZERO_ORDINATES[0]
@@ -340,6 +342,36 @@ class TestWiderCache:
         assert len(lines) == 1 + 2 * len(zeros)
 
 
+class TestInputLimits:
+    """A request past a documented limit exits 2 with one line naming it,
+    before any evaluation: detect's and scan's mode count L t_max / 2 pi at
+    most 10^5, scan's grid at most 10^6 lengths. An infinite count is caught
+    as well, where math.floor would raise."""
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (["detect", "1e307"], "100000"),  # L t_max overflows to inf
+            (["detect", "1e300"], "100000"),
+            (["--L-window", "0.3,1e307", "scan"], "1000000"),
+            (["--L-window", "0.5,1e308", "--scan-step", "1e307", "scan"], "100000"),
+            (["--scan-step", "1e-320", "scan"], "1000000"),
+            (["--scan-step", "1e-12", "scan"], "1000000"),
+        ],
+        ids=["detect_inf_modes", "detect_modes", "scan_inf_lengths", "scan_inf_modes",
+             "scan_subnormal_step", "scan_lengths"],
+    )
+    def test_limit_exits_2_with_one_line(self, tmp_path, capsys, argv, limit):
+        seed_cache(20.0)
+        capsys.readouterr()
+        assert run("--t-max", "20", *argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert f"exceeds the limit of {limit}" in err
+        written = sorted(path.name for path in (tmp_path / "reports").iterdir())
+        assert written == ["zeros_report.json", "zeros_runtime.json"]
+
+
 class TestDetect:
     def test_positive_verdict(self, tmp_path):
         seed_cache(20.0)
@@ -548,6 +580,57 @@ class TestJets:
         seed_cache(20.0)
         assert run("--t-max", "20", "jets", "absent.json") == cli.EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+
+class TestCsvReports:
+    """scan.csv, laplacian.csv and jets.csv come from one writer: a header
+    line, then one line per row, each ended by the csv module's \\r\\n."""
+
+    @staticmethod
+    def write_section(path: Path) -> GlobalSection:
+        zeros = specfun.find_zeros(0.0, 20.0)
+        section = make_section(
+            lambda L: np.exp(-L) * (1.0 + 1j * L), lambda L: np.cos(L) + 0.5j,
+            build_section_grid(20.0, zeros),
+        )
+        path.write_text(json.dumps(section_to_payload(section)))
+        return section
+
+    @pytest.mark.parametrize(
+        "argv,name,header",
+        [
+            (["scan"], "scan.csv", "L,min_row_score"),
+            (["laplacian"], "laplacian.csv", "ordinate,eigenvalue,negativity_ok"),
+            (["jets", "section.json"], "jets.csv", "t_k,L_k,slot,order,jet_re,jet_im"),
+        ],
+    )
+    def test_header_and_line_ends(self, tmp_path, argv, name, header):
+        seed_cache(20.0)
+        self.write_section(tmp_path / "section.json")
+        assert run("--t-max", "20", *argv) == cli.EXIT_OK
+        data = (tmp_path / "reports" / name).read_bytes()
+        lines = data.split(b"\r\n")
+        assert lines[0] == header.encode()
+        assert len(lines) >= 3 and lines[-1] == b""  # a header, rows, and a final line end
+        assert all(b"\n" not in line and b"\r" not in line for line in lines)
+
+    def test_jet_rows(self, tmp_path):
+        """One row per zero, slot and order: t_k and L_k to 14 places, the
+        slot, the order, and the jet's real and imaginary parts to 17 digits."""
+        seed_cache(20.0)
+        section = self.write_section(tmp_path / "section.json")
+        assert run("--t-max", "20", "jets", "section.json") == cli.EXIT_OK
+        zeros = specfun.read_zero_cache(tmp_path / "zeros.csv")
+        jets = quotient_jets(section, zeros)
+        lines = (tmp_path / "reports" / "jets.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * len(zeros) == 3
+        first, second = lines[1].split(","), lines[2].split(",")
+        assert first[2] == "plus" and first[3] == "0"
+        assert second[2] == "minus" and second[3] == "0"
+        assert first[0] == second[0] == f"{jets[0].ordinate:.14f}"
+        assert first[1] == f"{jets[0].location:.14f}"
+        assert float(first[4]) == jets[0].jets_plus[0].real
+        assert float(second[5]) == jets[0].jets_minus[0].imag
 
 
 class TestRunner:

@@ -5,12 +5,10 @@ import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
 from zetacycles.laplacian import (
-    QuotientEigenvalue,
     delta_eigenvalue,
     delta_on_test_function,
     direct_membership,
     negativity_rows,
-    quotient_spectrum,
     rh_predicate,
 )
 from zetacycles.schwartz import (
@@ -87,17 +85,6 @@ class TestQuotientSpectrum:
             assert ordinate == z.ordinate
             assert ok
             assert value == pytest.approx(-(z.ordinate**2 + 0.25), rel=1e-14)
-
-    def test_multiplicity_passthrough(self, zeros60):
-        spectrum = quotient_spectrum(zeros60)
-        assert [q.multiplicity for q in spectrum] == [z.multiplicity for z in zeros60]
-
-    def test_eigenvalue_record_validation(self):
-        with pytest.raises(ValueError):
-            QuotientEigenvalue(0.5 + 14j, 0)
-        q = QuotientEigenvalue(0.5 + 14j, 1)
-        assert q.value == delta_eigenvalue(0.5 + 14j)
-        assert q.value.real < 0.0
 
 
 class TestOperatorRoute:

@@ -17,7 +17,6 @@ from zetacycles.operators import covering_sigma
 from zetacycles.sheaf import (
     GlobalSection,
     IdealGenerator,
-    SampledFunction,
     UnderResolvedGridError,
     build_section_grid,
     circle_at,
@@ -31,7 +30,6 @@ from zetacycles.sheaf import (
     section_to_payload,
     synthetic_generator,
     theta_on_sections,
-    write_jet_csv,
     zeta_generator,
 )
 from zetacycles.specfun import ZetaZero
@@ -104,8 +102,6 @@ class TestGlobalSection:
         near[4] = near[3] * (1.0 + 1e-10)  # stencils need nodes 1e-9 apart
         with pytest.raises(ValueError):
             GlobalSection(near, ones, ones)
-        with pytest.raises(ValueError):
-            SampledFunction(near, ones)
         for bad in (math.nan, math.inf, -math.inf):
             broken = grid.copy()
             broken[3] = bad
@@ -114,11 +110,7 @@ class TestGlobalSection:
             with pytest.raises(ValueError, match="finite"):
                 GlobalSection(broken, ones, ones)
             with pytest.raises(ValueError, match="finite"):
-                SampledFunction(broken, ones)
-            with pytest.raises(ValueError, match="finite"):
                 GlobalSection(grid, ones, samples)
-            with pytest.raises(ValueError, match="finite"):
-                SampledFunction(grid, samples)
 
     def test_zero_extension_below_grid(self):
         grid = np.linspace(1.0, 2.0, 16)
@@ -311,20 +303,6 @@ class TestJets:
         with pytest.raises(UnderResolvedGridError):
             quotient_jets(sec, zeros60[:1])
 
-    def test_csv_rows_and_header(self, tmp_path, section, zeros60):
-        jets = quotient_jets(section, zeros60)
-        assert len(jets) == len(zeros60)
-        path = tmp_path / "jets.csv"
-        write_jet_csv(path, jets)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t_k,L_k,slot,order,jet_re,jet_im"
-        assert len(lines) == 1 + 2 * len(zeros60)
-        first, second = lines[1].split(","), lines[2].split(",")
-        assert first[2] == "plus" and first[3] == "0"
-        assert second[2] == "minus" and second[3] == "0"
-        assert float(first[0]) == pytest.approx(jets[0].ordinate, rel=1e-14)
-        assert float(first[4]) == pytest.approx(jets[0].jets_plus[0].real, rel=1e-12)
-        assert float(second[5]) == pytest.approx(jets[0].jets_minus[0].imag, rel=1e-12)
 
 
 class TestGenerators:
@@ -375,8 +353,7 @@ class TestGenerators:
 class TestIdealMembership:
     def test_constant_fails_with_one_witness_per_zero(self, section_grid, zeros60):
         g = zeta_generator(1, zeros60)
-        f = SampledFunction(section_grid, np.ones(section_grid.size))
-        member, witnesses = ideal_membership(f, g)
+        member, witnesses = ideal_membership(section_grid, np.ones(section_grid.size), g)
         assert not member
         assert len(witnesses) == len(zeros60)
         assert {w.order for w in witnesses} == {0}
@@ -389,9 +366,7 @@ class TestIdealMembership:
         values = np.array(
             [(2.0 + math.sin(L)) * g.evaluator(float(L)) for L in section_grid]
         )
-        member, witnesses = ideal_membership(
-            SampledFunction(section_grid, values), g
-        )
+        member, witnesses = ideal_membership(section_grid, values, g)
         assert member and witnesses == []
 
     def test_simple_zero_misses_double_requirement(self, section_grid):
@@ -399,9 +374,7 @@ class TestIdealMembership:
         values = np.array(
             [(L - 1.0) * (2.0 + math.cos(L)) for L in section_grid]
         )
-        member, witnesses = ideal_membership(
-            SampledFunction(section_grid, values), g
-        )
+        member, witnesses = ideal_membership(section_grid, values, g)
         assert not member
         assert [w.order for w in witnesses] == [1]
 
@@ -410,21 +383,42 @@ class TestIdealMembership:
         values = np.array(
             [(L - 1.0) ** 2 * (2.0 + math.sin(L)) for L in section_grid]
         )
-        member, _ = ideal_membership(SampledFunction(section_grid, values), g)
+        member, _ = ideal_membership(section_grid, values, g)
         assert member
 
     def test_tol_validation(self, section_grid):
         g = synthetic_generator(1.0)
-        f = SampledFunction(section_grid, np.ones(section_grid.size))
         with pytest.raises(ValueError):
-            ideal_membership(f, g, tol=0.0)
+            ideal_membership(section_grid, np.ones(section_grid.size), g, tol=0.0)
 
     @NON_FINITE
     def test_tol_must_be_finite(self, section_grid, bad):
         # a NaN or infinite tolerance would pass every witness and call 1 a member
-        f = SampledFunction(section_grid, np.ones(section_grid.size))
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            ideal_membership(f, synthetic_generator(1.0), tol=bad)
+            ideal_membership(section_grid, np.ones(section_grid.size), synthetic_generator(1.0),
+                             tol=bad)
+
+    def test_grid_and_sample_validation(self):
+        """The grid and samples meet GlobalSection's checks: stencil nodes at
+        least 1e-9 relative apart, finite points and samples."""
+        g = synthetic_generator(1.5)
+        grid = np.linspace(1.0, 2.0, 16)
+        ones = np.ones(16)
+        near = grid.copy()
+        near[4] = near[3] * (1.0 + 1e-10)
+        with pytest.raises(ValueError, match="1e-9 relative"):
+            ideal_membership(near, ones, g)
+        with pytest.raises(ValueError, match="match the grid shape"):
+            ideal_membership(grid, ones[:5], g)
+        for bad in (math.nan, math.inf, -math.inf):
+            broken = grid.copy()
+            broken[3] = bad
+            samples = ones.astype(complex)
+            samples[3] = complex(0.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                ideal_membership(broken, ones, g)
+            with pytest.raises(ValueError, match="finite"):
+                ideal_membership(grid, samples, g)
 
 
 class TestJordanStructure:
