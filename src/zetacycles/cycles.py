@@ -54,10 +54,11 @@ _PSI_FLOOR = 1e-250
 _SCAN_CELLS = 1 << 16  # (L, n) cells per scan chunk: about 0.5 MB per work array
 
 # Input limits, checked before any evaluation: mode_count at detect's L and
-# scan's L_max (detect scores each row in one scalar call), and the lengths
-# of scan's grid.
+# scan's L_max (detect scores each row in one scalar call), the lengths of
+# scan's grid, and its (L, n) cells, lengths x mode_count(L_max), which bound its points.
 _MAX_MODES = 10**5
 _MAX_LENGTHS = 10**6
+_MAX_CELLS = 10**7
 
 
 class FamilyDegenerateError(ValueError):
@@ -186,6 +187,8 @@ def scan(
     steps = (L_max - L_min) / step
     if not steps + 1.0 <= _MAX_LENGTHS:  # an infinite count too, before math.floor
         raise ValueError(f"a grid of {steps + 1.0:.6g} lengths exceeds the limit of {_MAX_LENGTHS}")
+    if not (cells := (steps + 1.0) * mode_count(L_max, t_max)) <= _MAX_CELLS:
+        raise ValueError(f"a grid of {cells:.6g} (L, n) cells exceeds the limit of {_MAX_CELLS}")
     started = time.perf_counter()
     l_values = L_min + step * np.arange(int(math.floor(steps + 1e-9)) + 1)
     if L_max - l_values[-1] > 1e-9 * step:

@@ -2,17 +2,15 @@
 
 Everything downstream (Fourier coefficients, dip scans, ideal generators)
 funnels through `zeta_critical` or its array form `zeta_critical_many`, so
-this module carries the accuracy contracts: Euler-Maclaurin (at one point,
-or over a block of points), a Riemann-Siegel main sum with remainder terms
-C0..C4, and honest error accounting for both. The module reads one policy,
-`_POLICY`: `zeta_critical` alone reaches Riemann-Siegel, at or above its
-`rs_threshold`; `zeta_critical_many`, `riemann_siegel_Z` and `zeta_jet` run
-on Euler-Maclaurin up to VALIDATED_T_MAX; every evaluated point meets its
-`target_abs_error`. Z is zeta rotated by e^{i theta}, on an array by
-`rotate_to_Z`; a zero is a sign change of Z between neighbouring points of
-such an array. `find_zeros` takes the Gram points g_j, where theta(g_j) =
-j pi, checks Gram's law (-1)^j Z(g_j) > 0 at each, and refines all its
-brackets at once; `cycles.scan` looks its brackets up in that zero list.
+this module carries the accuracy contracts. Every evaluator runs on one
+Euler-Maclaurin kernel (at one point, or over a block) up to VALIDATED_T_MAX,
+and every evaluated point's certified bound meets _TARGET_ABS_ERROR; a
+Riemann-Siegel sum with remainder terms C0..C4 is the tests' independent
+route. Z is zeta rotated by e^{i theta}, on an array by `rotate_to_Z`; a zero
+is a sign change of Z between neighbouring points of such an array.
+`find_zeros` takes the Gram points g_j, where theta(g_j) = j pi, checks
+Gram's law (-1)^j Z(g_j) > 0 at each, and refines all its brackets at once;
+`cycles.scan` looks its brackets up in that zero list.
 """
 
 from __future__ import annotations
@@ -51,9 +49,10 @@ __all__ = [
     "zeta_jet",
 ]
 
-# Largest |t| at which the C0..C4 remainder implementation has been checked
-# against an independent high-precision evaluation.
+# Largest |t| accepted: Gram's law, which find_zeros' brackets rest on, holds
+# at every Gram point below it (the first bad one is g_126 ~ 282.45).
 VALIDATED_T_MAX = 260.0
+_TARGET_ABS_ERROR = 1e-6  # the certified absolute error of every evaluated point
 
 _TWO_PI = 2.0 * math.pi
 _LOG_PI = math.log(math.pi)
@@ -68,16 +67,11 @@ class AccuracyError(ArithmeticError):
     """The requested absolute error cannot be certified at this argument."""
 
 
-@dataclass(frozen=True)
 class EvalConfig:
-    """The evaluation policy: the |t| from which zeta_critical takes
-    Riemann-Siegel, and the error every evaluated point must be within."""
+    """The |t| from which an evaluator takes Riemann-Siegel: none does, so it
+    is infinite. zcbench reads it to count the calls that reach that route."""
 
-    rs_threshold: float = 100.0
-    target_abs_error: float = 1e-6
-
-
-_POLICY = EvalConfig()
+    rs_threshold = math.inf
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,8 @@ def _zeta_euler_maclaurin(t):
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Siegel: main sum plus remainder terms C0..C4 built from derivatives
-# of Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).
+# Riemann-Siegel, the tests' independent route: main sum plus remainder terms
+# C0..C4 built from derivatives of Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).
 
 _RS_REMAINDER_COEFF = 0.017  # empirical envelope: |R| <= 0.017 t^{-11/4}
 _RS_CONTOUR_NODES = 64
@@ -305,25 +299,21 @@ def _range_error(t: float) -> AccuracyError:
 def _bound_error(bound: float, t: float) -> AccuracyError:
     return AccuracyError(
         f"certified error {bound:.3g} at t = {t:.6g} exceeds "
-        f"target_abs_error = {_POLICY.target_abs_error:.3g}"
+        f"target_abs_error = {_TARGET_ABS_ERROR:.3g}"
     )
 
 
 def zeta_critical(t: float) -> complex:
-    """zeta(1/2 + it) for real t, to within the target error: Riemann-Siegel
-    at or above the policy's rs_threshold, Euler-Maclaurin below it."""
+    """zeta(1/2 + it) for real t, to within the target error, by the scalar
+    Euler-Maclaurin kernel: equal bit for bit to zeta_critical_many at t."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     a = abs(t)
     if a > VALIDATED_T_MAX:
         raise _range_error(a)
-    if a >= _POLICY.rs_threshold:
-        z_val, bound = _riemann_siegel_raw(a)
-        value = z_val * cmath.exp(-1j * siegel_theta(a))
-    else:
-        value, bound = _zeta_euler_maclaurin(a)
-    if bound > _POLICY.target_abs_error:
+    value, bound = _zeta_euler_maclaurin(a)
+    if bound > _TARGET_ABS_ERROR:
         raise _bound_error(bound, a)
     return value.conjugate() if t < 0.0 else value
 
@@ -360,7 +350,7 @@ def zeta_critical_many(t) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, t.size, _GRID_BLOCK):
         block = slice(lo, lo + _GRID_BLOCK)
         values[block], bounds[block] = _zeta_euler_maclaurin(a[block])
-    if (over := bounds > _POLICY.target_abs_error).any():
+    if (over := bounds > _TARGET_ABS_ERROR).any():
         i = over.argmax()
         raise _bound_error(bounds[i], a[i])
     return np.where(t < 0.0, values.conj(), values), bounds

@@ -303,7 +303,7 @@ def test_criterion_9_special_function_invariants():
         checked += 1
     assert worst_refl <= 1e-10
 
-    # the two routes of zeta_critical across its switch at t = 100
+    # Euler-Maclaurin against the independent Riemann-Siegel route, 85 to 115
     worst_overlap = 0.0
     for t in np.linspace(85.0, 115.0, 40):
         em = _zeta_euler_maclaurin(float(t))[0]

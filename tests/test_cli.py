@@ -345,8 +345,8 @@ class TestWiderCache:
 class TestInputLimits:
     """A request past a documented limit exits 2 with one line naming it,
     before any evaluation: detect's and scan's mode count L t_max / 2 pi at
-    most 10^5, scan's grid at most 10^6 lengths. An infinite count is caught
-    as well, where math.floor would raise."""
+    most 10^5, scan's grid at most 10^6 lengths and 10^7 (L, n) cells. An
+    infinite count is caught as well, where math.floor would raise."""
 
     @pytest.mark.parametrize(
         "argv,limit",
@@ -357,9 +357,10 @@ class TestInputLimits:
             (["--L-window", "0.5,1e308", "--scan-step", "1e307", "scan"], "100000"),
             (["--scan-step", "1e-320", "scan"], "1000000"),
             (["--scan-step", "1e-12", "scan"], "1000000"),
+            (["--L-window", "0.4,4.0", "--scan-step", "4e-6", "scan"], "10000000"),
         ],
         ids=["detect_inf_modes", "detect_modes", "scan_inf_lengths", "scan_inf_modes",
-             "scan_subnormal_step", "scan_lengths"],
+             "scan_subnormal_step", "scan_lengths", "scan_cells"],
     )
     def test_limit_exits_2_with_one_line(self, tmp_path, capsys, argv, limit):
         seed_cache(20.0)

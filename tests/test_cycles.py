@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from _oracle_frozen import ZERO_ORDINATES
@@ -14,7 +15,13 @@ from zetacycles.cycles import (
     scan,
 )
 from zetacycles.schwartz import linear_combination, make_test_function
-from zetacycles.specfun import VALIDATED_T_MAX, AccuracyError, find_zeros, zeta_critical
+from zetacycles.specfun import (
+    VALIDATED_T_MAX,
+    AccuracyError,
+    find_zeros,
+    zeta_critical,
+    zeta_critical_many,
+)
 
 T1 = ZERO_ORDINATES[0]
 L_STAR = 2.0 * math.pi / T1
@@ -73,6 +80,15 @@ class TestDetect:
             report = detect(L, family, t_max=20.0, zeros=zeros20)
             for n, score in report.zeta_scores.items():
                 assert score == abs(zeta_critical(-2.0 * math.pi * n / L))
+
+    def test_scores_match_the_block_route_at_250(self, family):
+        """At t_max = 250 the rows reach |s| ~ 147; each score equals |zeta|
+        from zeta_critical_many at its frequency bit for bit, above 100 too."""
+        report = detect(3.7, family, t_max=250.0)
+        n = np.array(list(report.zeta_scores))
+        assert n.max() == 147
+        block = zeta_critical_many(-2.0 * math.pi * n / 3.7)[0]
+        assert list(report.zeta_scores.values()) == [abs(z) for z in block.tolist()]
 
     def test_verdict_independent_of_family(self, family, zeros20):
         f3 = make_test_function(3)

@@ -109,16 +109,14 @@ class TestZetaCritical:
 
     def test_z_reality(self):
         # Z is the rotation of zeta onto the real axis; recompute the
-        # rotation directly, on either route, and bound its imaginary part
+        # rotation directly and bound its imaginary part
         for t in (5.0, 30.0, 57.3, 80.0, 99.0, 130.0, 220.0):
-            for zeta in (zeta_critical(t), specfun._zeta_euler_maclaurin(t)[0]):
-                rotated = np.exp(1j * siegel_theta(t)) * zeta
-                assert abs(rotated.imag) <= 1e-9
-            # Z is on Euler-Maclaurin: the last rotation
+            rotated = np.exp(1j * siegel_theta(t)) * zeta_critical(t)
+            assert abs(rotated.imag) <= 1e-9
             assert riemann_siegel_Z(t) == pytest.approx(rotated.real, abs=1e-9)
 
     def test_method_overlap_band(self):
-        # both routes of zeta_critical across its switch at t = 100
+        # Euler-Maclaurin against the independent Riemann-Siegel route, 85 to 115
         for t in np.linspace(85.0, 115.0, 13):
             em = specfun._zeta_euler_maclaurin(t)[0]
             rs = specfun._riemann_siegel_raw(t)[0] * np.exp(-1j * siegel_theta(t))
@@ -134,19 +132,31 @@ class TestZetaCritical:
             riemann_siegel_Z(t)
 
     def test_unreachable_target(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
+        monkeypatch.setattr(specfun, "_TARGET_ABS_ERROR", 1e-14)
         with pytest.raises(AccuracyError, match="certified error"):
-            zeta_critical(150.0)  # Riemann-Siegel
+            zeta_critical(150.0)
         with pytest.raises(AccuracyError, match="certified error"):
-            zeta_critical(-50.0)  # Euler-Maclaurin
+            zeta_critical(-50.0)
+
+    def test_above_100_against_mpmath(self):
+        """41 points of [100, 260], where the Riemann-Siegel route errs by
+        up to 3.7e-8; the scalar Euler-Maclaurin kernel's worst is 2.1e-13."""
+        mpmath = pytest.importorskip("mpmath")
+        for t in np.linspace(100.0, VALIDATED_T_MAX, 41):
+            with mpmath.workdps(30):
+                exact = complex(mpmath.zeta(mpmath.mpc(0.5, float(t))))
+            assert abs(zeta_critical(float(t)) - exact) <= 1e-11, f"t = {t}"
 
 
 class TestEvalConfig:
     def test_validation(self):
-        # the module's one policy, with the defaults the benchmark reads
-        assert specfun._POLICY == EvalConfig(rs_threshold=100.0, target_abs_error=1e-6)
+        # no field: no evaluator takes Riemann-Siegel, the value the benchmark reads
+        assert EvalConfig().rs_threshold == math.inf
         with pytest.raises(TypeError):
-            EvalConfig(euler_maclaurin_terms=40)  # a module constant: it had no caller
+            EvalConfig(100.0)
+        with pytest.raises(TypeError):
+            EvalConfig(rs_threshold=100.0)
+        assert specfun._TARGET_ABS_ERROR == 1e-6
 
     def test_zero_record_validation(self):
         with pytest.raises(ValueError):
@@ -315,18 +325,16 @@ class TestBlockEvaluation:
             z1 = self.z_point(float(x))
             assert abs(value - z1) <= 1e-15 * abs(z1), x
 
-    def test_points_at_threshold_take_riemann_siegel(self):
-        """Only scalar zeta_critical takes Riemann-Siegel at and above the
-        policy's rs_threshold; the block and scalar Z stay on Euler-Maclaurin."""
-        t = np.array([90.0, 99.5, specfun._POLICY.rs_threshold, 130.0, 259.0])
+    def test_scalar_and_block_agree_at_and_above_100(self):
+        """The block and scalar Z, and scalar zeta_critical, are one
+        Euler-Maclaurin route on both sides of t = 100."""
+        t = np.array([90.0, 99.5, 100.0, 130.0, 259.0])
         values, bounds = self.z_many(t)
-        for x, value, bound in zip(t, values, bounds):
+        zeta = zeta_critical_many(t)[0]
+        for x, value, bound, one in zip(t, values, bounds, zeta):
             assert value == pytest.approx(self.z_point(float(x)), rel=1e-15)
             assert bound == pytest.approx(specfun._zeta_euler_maclaurin(float(x))[1], rel=1e-15)
-        for x in t[2:]:
-            rotated = np.exp(1j * siegel_theta(x)) * zeta_critical(float(x))
-            z_rs = specfun._riemann_siegel_raw(float(x))[0]
-            assert rotated.real == pytest.approx(z_rs, rel=1e-15, abs=0.0)
+            assert zeta_critical(float(x)) == one
 
     def test_guards_raise_on_block(self, monkeypatch):
         with pytest.raises(AccuracyError, match="validated range"):
@@ -334,7 +342,7 @@ class TestBlockEvaluation:
         with pytest.raises(AccuracyError, match="validated range"):
             riemann_siegel_Z(VALIDATED_T_MAX + 1.0)
         with monkeypatch.context() as patch:
-            patch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
+            patch.setattr(specfun, "_TARGET_ABS_ERROR", 1e-14)
             with pytest.raises(AccuracyError, match="certified error"):
                 self.z_many(np.linspace(1.0, 50.0, 10))
             with pytest.raises(AccuracyError, match="certified error"):
@@ -351,22 +359,17 @@ class TestZetaCriticalMany:
     """The array evaluator against scalar zeta_critical, and its guards."""
 
     def test_matches_scalar(self):
-        """Against the scalar Euler-Maclaurin route, which is scalar
-        zeta_critical's below its Riemann-Siegel threshold, on both sides of
-        that threshold."""
-        policy = specfun._POLICY
+        """Scalar zeta_critical equals the block value bit for bit, over
+        [-259, 259]; both agree with the scalar Euler-Maclaurin kernel."""
         rng = np.random.default_rng(7)
         t = np.concatenate([rng.uniform(-259.0, 259.0, 400), [0.0, 99.9, -100.0, 100.0]])
-        assert (np.abs(t) < policy.rs_threshold).sum() > 100
-        assert (np.abs(t) >= policy.rs_threshold).sum() > 100
         many, bounds = zeta_critical_many(t)
         for x, value, bound in zip(t, many, bounds):
             one, em_bound = specfun._zeta_euler_maclaurin(abs(float(x)))
             one = one.conjugate() if x < 0.0 else one
-            if abs(x) < policy.rs_threshold:
-                assert zeta_critical(float(x)) == one
+            assert zeta_critical(float(x)) == value, x
             assert abs(value - one) <= 1e-15 * abs(one), x
-            assert 0.0 < bound <= policy.target_abs_error
+            assert 0.0 < bound <= specfun._TARGET_ABS_ERROR
             assert bound == pytest.approx(em_bound, rel=1e-15)
 
     def test_empty(self):
@@ -385,7 +388,7 @@ class TestZetaCriticalMany:
             zeta_critical_many(np.array([-np.inf, 1.0]))
         with pytest.raises(AccuracyError, match="validated range"):
             zeta_critical_many(np.array([10.0, -(VALIDATED_T_MAX + 1.0)]))
-        monkeypatch.setattr(specfun, "_POLICY", EvalConfig(target_abs_error=1e-14))
+        monkeypatch.setattr(specfun, "_TARGET_ABS_ERROR", 1e-14)
         with pytest.raises(AccuracyError, match="certified error"):
             zeta_critical_many(np.linspace(1.0, 50.0, 10))
         with pytest.raises(AccuracyError, match="certified error"):
@@ -482,8 +485,8 @@ def test_em_bound_covers_error(t):
 
 def test_riemann_siegel_bound_covers_error():
     """The Riemann-Siegel bound holds against mpmath at 161 points of
-    [20, 260], from far below the rs_threshold of 100 up to
-    VALIDATED_T_MAX. The worst point uses 0.76 of its bound, near t = 21.5."""
+    [20, VALIDATED_T_MAX]. The worst point uses 0.76 of its bound, near
+    t = 21.5."""
     mpmath = pytest.importorskip("mpmath")
     for t in np.linspace(20.0, VALIDATED_T_MAX, 161):
         value, bound = specfun._riemann_siegel_raw(float(t))
@@ -571,12 +574,13 @@ class TestJets:
             zeta_jet(25.0, order=5)
 
 
-def test_riemann_siegel_only_behind_scalar_zeta_critical(family, monkeypatch):
-    """Arrays, Z, zeros, scans, closed Fourier rows and jets run on
-    Euler-Maclaurin up to VALIDATED_T_MAX; only scalar zeta_critical reaches
-    Riemann-Siegel, at and above its threshold."""
-    from zetacycles.cycles import scan
+def test_no_evaluator_reaches_riemann_siegel(family, monkeypatch):
+    """Scalars, arrays, Z, zeros, scans, detect, closed Fourier rows, jets
+    and the zeta ideal generator run on Euler-Maclaurin up to
+    VALIDATED_T_MAX; Riemann-Siegel is reached only by the tests."""
+    from zetacycles.cycles import detect, scan
     from zetacycles.operators import fourier_closed
+    from zetacycles.sheaf import zeta_generator
 
     def no_riemann_siegel(t):
         raise RuntimeError(f"Riemann-Siegel reached at t = {t}")
@@ -584,13 +588,15 @@ def test_riemann_siegel_only_behind_scalar_zeta_critical(family, monkeypatch):
     monkeypatch.setattr(specfun, "_riemann_siegel_raw", no_riemann_siegel)
     zeta_critical_many(np.linspace(-260.0, 260.0, 2001))
     riemann_siegel_Z(259.0)
-    assert len(find_zeros(0.0, 260.0)) == 114
+    zeros = find_zeros(0.0, 260.0)
+    assert len(zeros) == 114
     assert len(scan(0.40, 0.43, 1e-3, family, t_max=250.0).dips) == 72
+    assert max(map(abs, detect(3.7, family, t_max=250.0, zeros=zeros).zeta_scores)) == 147
     fourier_closed(family[0], 0.8, 32)
     zeta_jet(250.0, 4)
-    zeta_critical(99.0)
-    with pytest.raises(RuntimeError, match="Riemann-Siegel reached"):
-        zeta_critical(150.0)
+    for t in (99.0, 150.0, -150.0, 259.0):
+        zeta_critical(t)
+    zeta_generator(1, zeros[:1]).evaluator(2.0 * math.pi / 200.0)
 
 
 @settings(max_examples=60, deadline=None)
