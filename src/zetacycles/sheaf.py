@@ -248,20 +248,14 @@ class IdealGenerator:
         for L_k, m_k in self.zeros:
             _positive("zero location", L_k)
             _count("zero order", m_k)
-        # small centered stencil per declared zero; order-m vanishing means
-        # jets through m-1 are negligible against the local function scale
+        # order-m vanishing: no jet through m-1 scores above 1e-3, as in
+        # ideal_membership, on nodes at and above each L_k, so that a zeta
+        # generator reads t = 2 pi / L at or below its zeros
         for L_k, m_k in self.zeros:
-            h = 1e-3 * L_k
-            nodes = L_k + h * np.arange(-(m_k + 2), m_k + 3)
+            nodes = L_k * (1.0 + 1e-3 * np.arange(m_k - 1 + _JET_EXTRA_NODES))
             samples = np.array([self.evaluator(float(x)) for x in nodes])
-            scale = max(float(np.max(np.abs(samples))), 1e-300)
-            w = finite_difference_weights(L_k, nodes, m_k - 1)
-            for j in range(m_k):
-                jet = complex(np.dot(w[j], samples))
-                if abs(jet) * h**j / math.factorial(j) > 1e-3 * scale:
-                    raise ValueError(
-                        f"evaluator does not vanish to order {m_k} at {L_k}"
-                    )
+            if _witnesses(nodes, samples, L_k, m_k, 1e-3):
+                raise ValueError(f"evaluator does not vanish to order {m_k} at {L_k}")
 
 
 def zeta_generator(sign: int, zeros: Sequence[ZetaZero]) -> IdealGenerator:
@@ -315,17 +309,25 @@ def ideal_membership(
     grid = _as_grid(grid)
     values = _as_samples(values, grid, "values")
     _positive("tol", tol)
-    witnesses: list[JetWitness] = []
-    for L_k, m_k in g.zeros:
-        stencil = _stencil(grid, L_k, m_k - 1)
-        idx = stencil[0]
-        spread = float(np.median(np.abs(grid[idx] - L_k)))
-        local_scale = max(float(np.max(np.abs(values[idx]))), 1e-300)
-        for j, jet in enumerate(_jet(stencil, values)):
-            score = abs(jet) * spread**j / (math.factorial(j) * local_scale)
-            if score > tol:
-                witnesses.append(JetWitness(L_k, j, jet, score))
+    witnesses = [w for L_k, m_k in g.zeros for w in _witnesses(grid, values, L_k, m_k, tol)]
     return (not witnesses), witnesses
+
+
+def _witnesses(
+    grid: np.ndarray, values: np.ndarray, L_k: float, m_k: int, tol: float
+) -> list[JetWitness]:
+    """The jets of values at L_k through order m_k - 1, on the stencil of the
+    grid points nearest L_k, whose score exceeds tol."""
+    stencil = _stencil(grid, L_k, m_k - 1)
+    idx = stencil[0]
+    spread = float(np.median(np.abs(grid[idx] - L_k)))
+    local_scale = max(float(np.max(np.abs(values[idx]))), 1e-300)
+    witnesses = []
+    for j, jet in enumerate(_jet(stencil, values)):
+        score = abs(jet) * spread**j / (math.factorial(j) * local_scale)
+        if score > tol:
+            witnesses.append(JetWitness(L_k, j, jet, score))
+    return witnesses
 
 
 @dataclass(frozen=True)

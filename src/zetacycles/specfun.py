@@ -2,12 +2,13 @@
 
 Everything downstream (Fourier coefficients, dip scans, ideal generators)
 funnels through `zeta_critical` or its array form `zeta_critical_many`, so
-this module carries the accuracy contracts. Every evaluator runs on one
+this module carries the accuracy contracts. There is one zeta evaluator: an
 Euler-Maclaurin kernel (at one point, or over a block) up to VALIDATED_T_MAX,
-and every evaluated point's certified bound meets _TARGET_ABS_ERROR; a
-Riemann-Siegel sum with remainder terms C0..C4 is the tests' independent
-route. Z is zeta rotated by e^{i theta}, on an array by `rotate_to_Z`; a zero
-is a sign change of Z between neighbouring points of such an array.
+and every evaluated point's certified bound meets _TARGET_ABS_ERROR. The
+independent Riemann-Siegel route that cross-checks it is a test helper,
+tests/_riemann_siegel.py, outside the package. Z is zeta rotated by
+e^{i theta}, on an array by `rotate_to_Z`; a zero is a sign change of Z
+between neighbouring points of such an array.
 `find_zeros` takes the Gram points g_j, where theta(g_j) = j pi, checks
 Gram's law (-1)^j Z(g_j) > 0 at each, and refines all its brackets at once;
 `cycles.scan` looks its brackets up in that zero list.
@@ -15,7 +16,6 @@ Gram's law (-1)^j Z(g_j) > 0 at each, and refines all its brackets at once;
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 import os
@@ -198,94 +198,6 @@ def _zeta_euler_maclaurin(t):
     truncation = np.sqrt(squares * (n_neg.real * n_neg.real + n_neg.imag * n_neg.imag)) / m
     rounding = _EPS * (t * log_n[big_n - 1] + big_n) * 2.0 * root_n
     return value, truncation + rounding
-
-
-# ---------------------------------------------------------------------------
-# Riemann-Siegel, the tests' independent route: main sum plus remainder terms
-# C0..C4 built from derivatives of Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).
-
-_RS_REMAINDER_COEFF = 0.017  # empirical envelope: |R| <= 0.017 t^{-11/4}
-_RS_CONTOUR_NODES = 64
-_RS_CONTOUR_RADIUS = 0.4
-
-
-def _psi_rs(z: complex) -> complex:
-    """Psi(z), stable near the removable singularities z = 1/4 + k/2.
-
-    Near a singular point s_k both numerator and denominator are rewritten as
-    sines of O(e) arguments, so the ratio keeps full relative accuracy.
-    """
-    k = round((z.real - 0.25) * 2.0)
-    e = z - (0.25 + 0.5 * k)
-    if abs(e) < 0.15:
-        sign_num = 1.0 if (k * k - k - 1) % 4 == 3 else -1.0
-        sign_den = -1.0 if k % 2 == 0 else 1.0
-        if e == 0:
-            return complex((sign_num / sign_den) * (k - 0.5))
-        num = cmath.sin(math.pi * e * (2 * k - 1 + 2 * e))
-        den = cmath.sin(_TWO_PI * e)
-        return (sign_num / sign_den) * num / den
-    w = z * z - z - 0.0625
-    return cmath.cos(_TWO_PI * w) / cmath.cos(_TWO_PI * z)
-
-
-def _psi_rs_derivatives(p: float) -> list[float]:
-    """Psi^(k)(p) for k = 0..12 from one trapezoid Cauchy integral.
-
-    Nodes are rotated half a step so none lands on the real axis where the
-    rewritten forms would be exercised at their own centers.
-    """
-    m = _RS_CONTOUR_NODES
-    r = _RS_CONTOUR_RADIUS
-    angles = _TWO_PI * (np.arange(m) + 0.5) / m
-    rot = np.exp(1j * angles)
-    samples = np.array([_psi_rs(p + r * w) for w in rot])
-    out = []
-    fact = 1.0
-    for k in range(13):
-        acc = np.sum(samples * np.exp(-1j * k * angles))
-        out.append(float(fact / (m * r**k) * acc.real))  # Psi is real-analytic
-        fact *= k + 1
-    return out
-
-
-def _rs_correction_coeffs(p: float) -> tuple[float, float, float, float, float]:
-    d = _psi_rs_derivatives(p)
-    pi2 = math.pi * math.pi
-    pi4 = pi2 * pi2
-    pi6 = pi4 * pi2
-    pi8 = pi4 * pi4
-    c0 = d[0]
-    c1 = -d[3] / (96.0 * pi2)
-    c2 = d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi4)
-    c3 = -d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi4) - d[9] / (5308416.0 * pi6)
-    c4 = (
-        d[0] / (128.0 * pi2)
-        + 19.0 * d[4] / (24576.0 * pi4)
-        + 11.0 * d[8] / (5898240.0 * pi6)
-        + d[12] / (2038431744.0 * pi8)
-    )
-    return c0, c1, c2, c3, c4
-
-
-def _riemann_siegel_raw(t: float) -> tuple[float, float]:
-    """Z(t) by the Riemann-Siegel formula; returns (value, error bound)."""
-    tau = t / _TWO_PI
-    rt = math.sqrt(tau)
-    m = int(rt)
-    p = rt - m
-    theta = siegel_theta(t)
-    n_arr = np.arange(1, m + 1, dtype=np.float64)
-    main = 2.0 * float(np.sum(np.cos(theta - t * np.log(n_arr)) / np.sqrt(n_arr)))
-    cs = _rs_correction_coeffs(p)
-    corr = 0.0
-    tau_pow = 1.0
-    for c in cs:
-        corr += c * tau_pow
-        tau_pow /= math.sqrt(tau)
-    corr *= (-1.0) ** (m - 1) * tau ** (-0.25)
-    bound = _RS_REMAINDER_COEFF * t ** (-2.75) + 1e-13 * (1.0 + m)
-    return main + corr, bound
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +443,16 @@ def zeta_jet(t0: float, order: int) -> list[complex]:
 
     Central finite differences along the t-axis on 13 samples (1 at order 0)
     from one zeta_critical_many call, whose centre node is t0 itself,
-    converted to s-derivatives with d/ds = -i d/dt per order.
+    converted to s-derivatives with d/ds = -i d/dt per order. The stencil
+    reaches t0 +- 0.18 (t0 alone at order 0); a t0 whose stencil reaches past
+    VALIDATED_T_MAX raises AccuracyError, naming t0, before any evaluation.
     """
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
     half = _JET_HALF_WIDTH if order else 0
+    if math.isfinite(t0) and abs(t0) + (reach := half * _JET_STEP) > VALIDATED_T_MAX:
+        raise AccuracyError(f"zeta_jet at t0 = {t0:.6g} samples t0 +- {reach:.2g}, past the"
+                            f" validated range ({VALIDATED_T_MAX:g})")
     nodes = t0 + np.arange(-half, half + 1, dtype=np.float64) * _JET_STEP
     samples = zeta_critical_many(nodes)[0]
     weights = finite_difference_weights(t0, nodes, order)  # row 0: 1 at t0, exactly 0 elsewhere
@@ -560,9 +477,12 @@ def open_replacing(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
+def _strictly_increasing(zeros: list[ZetaZero]) -> bool:
+    return all(a.ordinate < b.ordinate for a, b in zip(zeros, zeros[1:]))
+
+
 def write_zero_cache(path: str | Path, zeros: list[ZetaZero]) -> None:
-    ordinates = [z.ordinate for z in zeros]
-    if ordinates != sorted(ordinates) or len(set(ordinates)) != len(ordinates):
+    if not _strictly_increasing(zeros):
         raise ValueError("zero ordinates must be strictly increasing")
     with open_replacing(path) as fh:
         writer = csv.writer(fh)
@@ -585,7 +505,6 @@ def read_zero_cache(path: str | Path) -> list[ZetaZero]:
                 zeros.append(ZetaZero(float(row[0]), int(row[1]), float(row[2])))
             except ValueError as exc:
                 raise ValueError(f"zero cache {path}, line {reader.line_num}: {exc}") from exc
-    ordinates = [z.ordinate for z in zeros]
-    if ordinates != sorted(ordinates) or len(set(ordinates)) != len(ordinates):
+    if not _strictly_increasing(zeros):
         raise ValueError(f"zero cache {path} is not strictly increasing")
     return zeros

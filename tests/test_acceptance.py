@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from _oracle_frozen import ZERO_ORDINATES
+from _riemann_siegel import _riemann_siegel_raw
 from test_cycles import match_one_to_one, predicted_cycles
 from test_laplacian import probe_points
 from zetacycles.cycles import covering_stability, detect, scan
@@ -38,7 +39,6 @@ from zetacycles.sheaf import (
     zeta_generator,
 )
 from zetacycles.specfun import (
-    _riemann_siegel_raw,
     _zeta_euler_maclaurin,
     gamma_complex,
     siegel_theta,

@@ -2,7 +2,10 @@
 read somewhere: every name a module defines without a leading underscore is
 in its __all__ and nothing else is; every listed name exists and is read by
 the package, the benchmark or the acceptance gate; and every name a module
-imports is used or listed, so a deletion cannot leave its import behind."""
+imports is used or listed, so a deletion cannot leave its import behind.
+The package also holds one zeta evaluator: the Riemann-Siegel route is a
+test helper, which no package module defines, imports or reads, and nothing
+in the package imports from the tests."""
 
 import ast
 import importlib
@@ -20,6 +23,16 @@ MODULES = [
 SOURCES = sorted(Path(zetacycles.__file__).parent.glob("*.py"))
 BENCH = Path(__file__).resolve().parents[1] / "zcbench"
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+RIEMANN_SIEGEL = Path(__file__).with_name("_riemann_siegel.py")
+RS_NAMES = {
+    "_RS_CONTOUR_NODES",
+    "_RS_CONTOUR_RADIUS",
+    "_RS_REMAINDER_COEFF",
+    "_psi_rs",
+    "_psi_rs_derivatives",
+    "_riemann_siegel_raw",
+    "_rs_correction_coeffs",
+}
 
 
 def _tree(module_name: str) -> ast.Module:
@@ -98,3 +111,26 @@ def test_every_listed_name_is_read(module_name):
     for path in [*BENCH.glob("*.py"), ACCEPTANCE]:
         read.update(re.findall(r"\w+", path.read_text()))
     assert sorted(_listed_names(_tree(module_name)) - read) == []
+
+
+def test_riemann_siegel_route_is_a_test_helper():
+    helper = ast.parse(RIEMANN_SIEGEL.read_text())
+    assert RS_NAMES <= {n for node in helper.body for n in _defined_names(node)}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        names = _imported_names(tree) | _read_names(tree)
+        names.update(n for node in tree.body for n in _defined_names(node))
+        assert sorted(names & RS_NAMES) == [], path.name
+
+
+def test_package_imports_nothing_from_the_tests():
+    test_modules = {"tests"} | {p.stem for p in Path(__file__).parent.glob("*.py")}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert {m.partition(".")[0] for m in modules} & test_modules == set(), path.name

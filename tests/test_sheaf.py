@@ -32,7 +32,7 @@ from zetacycles.sheaf import (
     theta_on_sections,
     zeta_generator,
 )
-from zetacycles.specfun import ZetaZero
+from zetacycles.specfun import VALIDATED_T_MAX, ZetaZero, find_zeros
 
 TWO_PI = 2.0 * math.pi
 NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -335,6 +335,19 @@ class TestGenerators:
             zeta_generator(2, zeros60)
         with pytest.raises(ValueError):
             zeta_generator(1, [])
+
+    def test_zeta_generator_on_every_zero_of_the_validated_range(self, monkeypatch):
+        """Both signs accept all 114 zeros up to VALIDATED_T_MAX: the vanishing
+        check reads zeta at |t| = 2 pi / L at or below each zero, never above
+        the last one (259.874), so never past the range."""
+        zeros = find_zeros(0.0, VALIDATED_T_MAX)
+        read, zeta_critical = [], sheaf.zeta_critical
+        monkeypatch.setattr(
+            sheaf, "zeta_critical", lambda t: read.append(abs(t)) or zeta_critical(t)
+        )
+        for sign in (1, -1):
+            assert len(zeta_generator(sign, zeros).zeros) == len(zeros) == 114
+        assert max(read) == pytest.approx(zeros[-1].ordinate, rel=1e-15)
 
     def test_non_vanishing_evaluator_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,12 @@ from _oracle_frozen import (
     ZETA_HALF,
     ZETA_JET_SAMPLES,
 )
+from _riemann_siegel import (
+    _RS_CONTOUR_NODES,
+    _RS_CONTOUR_RADIUS,
+    _psi_rs_derivatives,
+    _riemann_siegel_raw,
+)
 from zetacycles import specfun
 from zetacycles.specfun import (
     VALIDATED_T_MAX,
@@ -119,7 +125,7 @@ class TestZetaCritical:
         # Euler-Maclaurin against the independent Riemann-Siegel route, 85 to 115
         for t in np.linspace(85.0, 115.0, 13):
             em = specfun._zeta_euler_maclaurin(t)[0]
-            rs = specfun._riemann_siegel_raw(t)[0] * np.exp(-1j * siegel_theta(t))
+            rs = _riemann_siegel_raw(t)[0] * np.exp(-1j * siegel_theta(t))
             assert abs(em - rs) <= 1e-7
 
     def test_out_of_validated_range(self):
@@ -489,7 +495,7 @@ def test_riemann_siegel_bound_covers_error():
     t = 21.5."""
     mpmath = pytest.importorskip("mpmath")
     for t in np.linspace(20.0, VALIDATED_T_MAX, 161):
-        value, bound = specfun._riemann_siegel_raw(float(t))
+        value, bound = _riemann_siegel_raw(float(t))
         with mpmath.workdps(20):
             exact = float(mpmath.siegelz(float(t)))
         assert abs(value - exact) <= bound, f"t = {t}"
@@ -506,11 +512,11 @@ def test_psi_rs_derivatives_against_mpmath():
     def psi(p):
         return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
 
-    r, m = specfun._RS_CONTOUR_RADIUS, specfun._RS_CONTOUR_NODES
+    r, m = _RS_CONTOUR_RADIUS, _RS_CONTOUR_NODES
     for p0 in np.arange(0.0, 1.0, 0.05).tolist():
         if min(abs(p0 - 0.25), abs(p0 - 0.75)) <= 0.01:
             continue
-        got = specfun._psi_rs_derivatives(p0)
+        got = _psi_rs_derivatives(p0)
         with mp.workdps(30):
             exact = mp.diffs(psi, mp.mpf(p0), 12)
             top = max(abs(psi(p0 + r * mp.expjpi(2 * (j + 0.5) / m))) for j in range(m))
@@ -573,30 +579,17 @@ class TestJets:
         with pytest.raises(ValueError):
             zeta_jet(25.0, order=5)
 
-
-def test_no_evaluator_reaches_riemann_siegel(family, monkeypatch):
-    """Scalars, arrays, Z, zeros, scans, detect, closed Fourier rows, jets
-    and the zeta ideal generator run on Euler-Maclaurin up to
-    VALIDATED_T_MAX; Riemann-Siegel is reached only by the tests."""
-    from zetacycles.cycles import detect, scan
-    from zetacycles.operators import fourier_closed
-    from zetacycles.sheaf import zeta_generator
-
-    def no_riemann_siegel(t):
-        raise RuntimeError(f"Riemann-Siegel reached at t = {t}")
-
-    monkeypatch.setattr(specfun, "_riemann_siegel_raw", no_riemann_siegel)
-    zeta_critical_many(np.linspace(-260.0, 260.0, 2001))
-    riemann_siegel_Z(259.0)
-    zeros = find_zeros(0.0, 260.0)
-    assert len(zeros) == 114
-    assert len(scan(0.40, 0.43, 1e-3, family, t_max=250.0).dips) == 72
-    assert max(map(abs, detect(3.7, family, t_max=250.0, zeros=zeros).zeta_scores)) == 147
-    fourier_closed(family[0], 0.8, 32)
-    zeta_jet(250.0, 4)
-    for t in (99.0, 150.0, -150.0, 259.0):
-        zeta_critical(t)
-    zeta_generator(1, zeros[:1]).evaluator(2.0 * math.pi / 200.0)
+    def test_stencil_stays_inside_the_validated_range(self):
+        """The 13 nodes reach t0 +- 0.18: at the top of the range a jet
+        returns while its nodes end at VALIDATED_T_MAX, and past that it
+        raises before any evaluation, naming t0 and not a node."""
+        top = VALIDATED_T_MAX - 0.18
+        assert len(zeta_jet(top, 4)) == 5
+        assert len(zeta_jet(-top, 4)) == 5
+        for t0 in (259.9, -259.9, 260.0):
+            with pytest.raises(AccuracyError, match=rf"t0 = {t0:g} samples t0 \+- 0.18"):
+                zeta_jet(t0, 4)
+        assert zeta_jet(VALIDATED_T_MAX, 0) == [zeta_critical(VALIDATED_T_MAX)]
 
 
 @settings(max_examples=60, deadline=None)
