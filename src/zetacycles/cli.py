@@ -11,13 +11,12 @@ payloads; timing goes to a separate runtime-stats file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -148,17 +147,21 @@ def _covered_t_max(cache: Path) -> float | None:
     return float(t_max) if numeric and math.isfinite(t_max) else None
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(_json_text(payload))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The bytes csv.writer would write: every field is a number, a bool or a
+    plain word, so none needs quoting; lines end in \\r\\n."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    path.write_text("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]),
+                    newline="")
 
 
 def _zeros_up_to(cache: Path, t_max: float) -> list[ZetaZero]:
@@ -202,7 +205,7 @@ def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         specfun.write_zero_cache(cache, zeros)
         meta = {"t_max": cfg.t_max, "count": len(zeros)}
         with specfun.open_replacing(_meta_path(cache)) as fh:  # the sidecar last, once the cache is whole
-            fh.write(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+            fh.write(_json_text(meta))
     _write_json(
         Path(cfg.output_dir) / "zeros_report.json",
         {"command": "zeros", "cache": str(cache), "count": len(zeros), "reused": reused},
@@ -224,7 +227,7 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     _write_json(
         out_dir / "dips.json",
         # each dip is the cached zero zero_index (from 0), whose ordinate is s
-        {"command": "scan", "dips": [{**asdict(d), "matched_zero": d.s} for d in result.dips]},
+        {"command": "scan", "dips": [{**vars(d), "matched_zero": d.s} for d in result.dips]},
     )
     stats = dict(result.runtime_stats)
     stats["profile_seconds"] = stats.pop("seconds")
@@ -385,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         code, extra = _COMMANDS[args.command](cfg, args)
         runtime = {"command": args.command, "seconds": time.perf_counter() - started, **extra}
-        _write_json(Path(cfg.output_dir) / f"{args.command}_runtime.json", runtime)
+        # into the directory the command's report made
+        (Path(cfg.output_dir) / f"{args.command}_runtime.json").write_text(_json_text(runtime))
         return code
     except (ConfigError, MissingCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)

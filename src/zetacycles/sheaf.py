@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import CircleFunction, _count, _positive
-from .specfun import ZetaZero, finite_difference_weights, zeta_critical
+from .specfun import ZetaZero, finite_difference_weights, zeta_critical, zeta_critical_many
 
 __all__ = [
     "GlobalSection",
@@ -237,10 +237,11 @@ def _jet(stencil: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> list[com
 
 @dataclass(frozen=True)
 class IdealGenerator:
-    """A generator of the vanishing ideal, known through point evaluation."""
+    """A generator of the vanishing ideal, known through point evaluation:
+    evaluator maps an array of lengths L to the generator's values there."""
 
     zeros: tuple[tuple[float, int], ...]
-    evaluator: Callable[[float], complex]
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not self.zeros:
@@ -250,11 +251,14 @@ class IdealGenerator:
             _count("zero order", m_k)
         # order-m vanishing: no jet through m-1 scores above 1e-3, as in
         # ideal_membership, on nodes at and above each L_k, so that a zeta
-        # generator reads t = 2 pi / L at or below its zeros
-        for L_k, m_k in self.zeros:
-            nodes = L_k * (1.0 + 1e-3 * np.arange(m_k - 1 + _JET_EXTRA_NODES))
-            samples = np.array([self.evaluator(float(x)) for x in nodes])
-            if _witnesses(nodes, samples, L_k, m_k, 1e-3):
+        # generator reads t = 2 pi / L at or below its zeros; one evaluator
+        # call samples every zero's nodes
+        nodes = [L_k * (1.0 + 1e-3 * np.arange(m_k - 1 + _JET_EXTRA_NODES))
+                 for L_k, m_k in self.zeros]
+        samples = np.asarray(self.evaluator(np.concatenate(nodes)))
+        ends = np.cumsum([x.size for x in nodes])
+        for (L_k, m_k), x, y in zip(self.zeros, nodes, np.split(samples, ends[:-1])):
+            if _witnesses(x, y, L_k, m_k, 1e-3):
                 raise ValueError(f"evaluator does not vanish to order {m_k} at {L_k}")
 
 
@@ -266,8 +270,10 @@ def zeta_generator(sign: int, zeros: Sequence[ZetaZero]) -> IdealGenerator:
         raise ValueError("zeta generator needs at least one cached zero")
     locs = tuple((_TWO_PI / z.ordinate, z.multiplicity) for z in zeros)
 
-    def evaluator(L: float) -> complex:
-        return zeta_critical(-sign * _TWO_PI / L)
+    def evaluator(L):
+        """zeta at t = -sign 2 pi / L, for an array of L (or one float L)."""
+        t = -sign * _TWO_PI / np.asarray(L, dtype=np.float64)
+        return zeta_critical_many(t)[0] if t.ndim else zeta_critical(float(t))
 
     return IdealGenerator(zeros=locs, evaluator=evaluator)
 
@@ -277,7 +283,7 @@ def synthetic_generator(L0: float, order: int = 2) -> IdealGenerator:
     _positive("L0", L0)
     _count("order", order)
 
-    def evaluator(L: float) -> complex:
+    def evaluator(L):
         d = L - L0
         return d**order * (1.0 + d * d)
 

@@ -146,16 +146,21 @@ def _zeta_euler_maclaurin(t):
     """zeta(1/2 + it) for t >= 0 by Euler-Maclaurin; returns (value, error bound).
 
     t is a float, or a 1-D array evaluated as one block. Each point sums
-    n^(-s) for n = 1..N with N = ceil(t/2) + 10, then 14 correction terms
+    n^(-s) for n = 1..N with N = ceil(0.4 t) + 7, then 14 correction terms
     T_k = B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) = B_2k/(2k)! q_(2k-2) N^(-s),
     where q_m is the running product of (s+j)/N for j = 0..m. That length
-    keeps the truncation bound, from the first omitted term T_15, below 1e-14
-    up to t = 1000 (the least such N is 5, 16, 47, 93, 121 and 473 at t = 0,
-    30, 100, 200, 260 and 1000), so the rounding term below dominates the
-    bound. A block lays its rows end to end and sums each with np.add.reduceat,
-    as a float sums its one row; both paths take q from the same numpy
-    accumulate and multiply N^(-s) by w in real arithmetic, which numpy does
-    not fuse, so a block and its points agree bit for bit.
+    keeps the truncation bound, from the first omitted term T_15, at most 2%
+    of the rounding term below at every t up to 1000 (0.0193 at worst, at
+    t = 412.5), and the whole bound non-decreasing in t: the rounding term
+    gains more at each step of N than the truncation term loses. (The least
+    N with the truncation term at most 2% of the rounding term is 6, 16, 45,
+    86, 111 and 403 at t = 0, 30, 100, 200, 260 and 1000.) A block lays its
+    rows end to end and sums each with np.add.reduceat, as a float sums its
+    one row; both paths take q from the same numpy accumulate over
+    (s + j) * (1/N), which is numpy's complex division by N without its
+    cost, and multiply N^(-s) by w in real arithmetic, which numpy does not
+    fuse, so a block and its points agree bit for bit. A float finishes on
+    Python numbers, which round as numpy scalars do.
 
     Rounding: each phase t log n is off by up to eps t log N, which moves the
     sum by at most eps t log N sum n^(-1/2); and each of the N - 1 additions,
@@ -164,27 +169,29 @@ def _zeta_euler_maclaurin(t):
     eps (t log N + N) 2 sqrt(N).
     """
     s = 0.5 + 1j * t
-    if isinstance(t, np.ndarray):
-        big_n = np.ceil(0.5 * t).astype(np.int64) + 10
+    if block := isinstance(t, np.ndarray):
+        big_n = np.ceil(0.4 * t).astype(np.int64) + 7
         starts = np.cumsum(big_n) - big_n
         log_n = _log_range(int(big_n.max()))
         n_index = np.arange(big_n.sum()) - np.repeat(starts, big_n)  # n - 1
         terms = np.exp(np.repeat(-s, big_n) * log_n[n_index])
         value = np.add.reduceat(terms, starts)
         n_neg = terms[starts + big_n - 1]  # N^{-s}
-        shifted = np.add.outer(s, _EM_SHIFTS) / big_n[:, None]
-        root_n = np.sqrt(big_n)
+        shifted = np.add.outer(s, _EM_SHIFTS) * (1.0 / big_n)[:, None]
+        log_big_n = log_n[big_n - 1]
     else:
-        big_n = math.ceil(0.5 * t) + 10
+        big_n = math.ceil(0.4 * t) + 7
         log_n = _log_range(big_n)
         terms = np.exp(-s * log_n)
         value = complex(np.add.reduceat(terms, [0])[0])
         n_neg = complex(terms[-1])
-        shifted = (s + _EM_SHIFTS) / big_n
-        root_n = math.sqrt(big_n)
+        shifted = (s + _EM_SHIFTS) * (1.0 / big_n)
+        log_big_n = float(log_n[-1])
     # T_k / N^{-s} = B_2k/(2k)! q_{2k-2} for k = 1..15
     corr_terms = np.multiply.accumulate(shifted, axis=-1)[..., ::2] * _EM_COEFFS
-    corrections = np.add.reduce(corr_terms[..., :-1], axis=-1)
+    corrections, last = np.add.reduce(corr_terms[..., :-1], axis=-1), corr_terms[..., -1]
+    if not block:
+        corrections, last = complex(corrections), complex(last)
     # N^{1-s}/(s-1) - N^{-s}/2 + sum T_k = N^{-s} w, with 1/(s-1) = -(1/2 + it)/(1/4 + t^2)
     w_re = -0.5 * big_n / (0.25 + t * t) - 0.5 + corrections.real
     w_im = -big_n * t / (0.25 + t * t) + corrections.imag
@@ -193,10 +200,10 @@ def _zeta_euler_maclaurin(t):
 
     # |T_15| |s + 29| / 29.5, each modulus the root of its square, as abs may
     # round a number and an array element differently
-    last, m = corr_terms[..., -1], _EM_SHIFTS.size + 0.5
+    sqrt, m = np.sqrt if block else math.sqrt, _EM_SHIFTS.size + 0.5
     squares = (last.real * last.real + last.imag * last.imag) * (m * m + t * t)
-    truncation = np.sqrt(squares * (n_neg.real * n_neg.real + n_neg.imag * n_neg.imag)) / m
-    rounding = _EPS * (t * log_n[big_n - 1] + big_n) * 2.0 * root_n
+    truncation = sqrt(squares * (n_neg.real * n_neg.real + n_neg.imag * n_neg.imag)) / m
+    rounding = _EPS * (t * log_big_n + big_n) * 2.0 * sqrt(big_n)
     return value, truncation + rounding
 
 
@@ -242,7 +249,7 @@ def riemann_siegel_Z(t: float) -> float:
     return float(rotate_to_Z(point, zeta_critical_many(point)[0])[0])
 
 
-_GRID_BLOCK = 256  # points per Euler-Maclaurin block: 256 (t/2 + 10) terms, 0.6 MB at t = 260
+_GRID_BLOCK = 256  # points per Euler-Maclaurin block: 256 (0.4 t + 7) terms, 0.5 MB at t = 260
 
 
 def zeta_critical_many(t) -> tuple[np.ndarray, np.ndarray]:
@@ -300,13 +307,17 @@ def _refine_roots(
     """Chandrupatla's method on every bracket [a_i, b_i] at once, given
     fa = f(a) and fb = f(b) of opposite signs (or zero). f maps an array of
     points to their values; each step calls it once, on the brackets still
-    open. A bracket closes when its better end x is a root, or when it is
-    narrower than _ROOT_XTOL + 4 eps |x|; no bracket's arithmetic reads
-    another's. Returns arrays (root, width, slope): f changes sign within
-    width of the root (width 0 when f(root) == 0), and slope is the secant
-    slope across that final bracket."""
+    open. The first step is regula falsi, to the secant's root across the
+    bracket; each later one is inverse quadratic interpolation where the last
+    three points allow it, else bisection. A bracket closes when its better
+    end x is a root, or when it is narrower than _ROOT_XTOL + 4 eps |x|; no
+    bracket's arithmetic reads another's. Returns arrays (root, width,
+    slope): f changes sign within width of the root (width 0 when
+    f(root) == 0), and slope is the secant slope across that final bracket."""
     x1, f1, x2, f2 = (np.array(v, dtype=np.float64) for v in (a, fa, b, fb))
-    x3, f3, t = x2, f2, np.full(x1.size, 0.5)  # x3 is set before it is read
+    x3, f3 = x2, f2  # x3 is set before it is read
+    # regula falsi; ends that are both roots (f1 == f2 == 0) close before t is read
+    t = np.divide(f1, f1 - f2, out=np.full(x1.size, 0.5), where=f1 != f2)
     lanes = np.arange(x1.size)
     root, width, slope = np.empty((3, x1.size))
     for _ in range(100):
@@ -484,11 +495,10 @@ def _strictly_increasing(zeros: list[ZetaZero]) -> bool:
 def write_zero_cache(path: str | Path, zeros: list[ZetaZero]) -> None:
     if not _strictly_increasing(zeros):
         raise ValueError("zero ordinates must be strictly increasing")
+    # the bytes csv.writer would write: numbers need no quoting, lines end in \r\n
+    lines = (f"{z.ordinate:.14e},{z.multiplicity},{z.abs_error:.6e}\r\n" for z in zeros)
     with open_replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ordinate", "multiplicity", "abs_error"])
-        for z in zeros:
-            writer.writerow([f"{z.ordinate:.14e}", z.multiplicity, f"{z.abs_error:.6e}"])
+        fh.write("ordinate,multiplicity,abs_error\r\n" + "".join(lines))
 
 
 def read_zero_cache(path: str | Path) -> list[ZetaZero]:

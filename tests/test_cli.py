@@ -1,6 +1,8 @@
 """End-to-end command-line behavior in throwaway directories."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -614,6 +616,27 @@ class TestCsvReports:
         assert lines[0] == header.encode()
         assert len(lines) >= 3 and lines[-1] == b""  # a header, rows, and a final line end
         assert all(b"\n" not in line and b"\r" not in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["scan"], "reports/scan.csv"),
+            (["laplacian"], "reports/laplacian.csv"),
+            (["jets", "section.json"], "reports/jets.csv"),
+            (["zeros"], "zeros.csv"),
+        ],
+    )
+    def test_bytes_are_the_csv_modules(self, tmp_path, argv, name):
+        """Each report, and the zero cache, holds the very bytes csv.writer
+        writes for its rows: no field is quoted, and every line ends in \\r\\n."""
+        seed_cache(20.0)
+        self.write_section(tmp_path / "section.json")
+        assert run("--t-max", "20", *argv) == cli.EXIT_OK
+        data = (tmp_path / name).read_bytes()
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(rows)
+        assert len(rows) >= 2 and data == expected.getvalue().encode()
 
     def test_jet_rows(self, tmp_path):
         """One row per zero, slot and order: t_k and L_k to 14 places, the

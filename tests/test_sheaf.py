@@ -338,16 +338,18 @@ class TestGenerators:
 
     def test_zeta_generator_on_every_zero_of_the_validated_range(self, monkeypatch):
         """Both signs accept all 114 zeros up to VALIDATED_T_MAX: the vanishing
-        check reads zeta at |t| = 2 pi / L at or below each zero, never above
-        the last one (259.874), so never past the range."""
+        check reads zeta, in one array call per sign, at |t| = 2 pi / L at or
+        below each zero, never above the last one (259.874), so never past
+        the range."""
         zeros = find_zeros(0.0, VALIDATED_T_MAX)
-        read, zeta_critical = [], sheaf.zeta_critical
+        read, zeta_critical_many = [], sheaf.zeta_critical_many
         monkeypatch.setattr(
-            sheaf, "zeta_critical", lambda t: read.append(abs(t)) or zeta_critical(t)
+            sheaf, "zeta_critical_many", lambda t: read.append(np.abs(t)) or zeta_critical_many(t)
         )
         for sign in (1, -1):
             assert len(zeta_generator(sign, zeros).zeros) == len(zeros) == 114
-        assert max(read) == pytest.approx(zeros[-1].ordinate, rel=1e-15)
+        assert len(read) == 2
+        assert max(r.max() for r in read) == pytest.approx(zeros[-1].ordinate, rel=1e-15)
 
     def test_non_vanishing_evaluator_rejected(self):
         with pytest.raises(ValueError):

@@ -480,8 +480,8 @@ class TestRefineRoot:
 @given(t=st.floats(min_value=0.0, max_value=1000.0))
 def test_em_bound_covers_error(t):
     """The Euler-Maclaurin bound holds against a 30-digit evaluation, up to
-    t = 1000, past VALIDATED_T_MAX: the main-sum length N = ceil(t/2) + 10
-    keeps the truncation term below the rounding term there."""
+    t = 1000, past VALIDATED_T_MAX: the main-sum length N = ceil(0.4 t) + 7
+    keeps the truncation term at most 2% of the rounding term there."""
     mpmath = pytest.importorskip("mpmath")
     value, bound = specfun._zeta_euler_maclaurin(t)
     with mpmath.workdps(30):
@@ -534,6 +534,33 @@ def test_em_bound_rises_with_t():
         [specfun._zeta_euler_maclaurin(t[lo : lo + 256])[1] for lo in range(0, t.size, 256)]
     )
     assert (np.diff(bounds) >= 0.0).all()
+
+
+def test_em_length_rule():
+    """The main sum runs to N = ceil(0.4 t) + 7: the bound is the rounding
+    term eps (t log N + N) 2 sqrt(N) at that N plus a truncation term of at
+    most 2% of it. A shorter sum has a smaller rounding term, and a longer one
+    a larger (ceil(t/2) + 10 raises the bound 18% past it at t = 1000)."""
+    t = np.linspace(0.0, 1000.0, 20001)
+    bounds = np.concatenate(
+        [specfun._zeta_euler_maclaurin(t[lo : lo + 256])[1] for lo in range(0, t.size, 256)]
+    )
+    big_n = np.ceil(0.4 * t) + 7.0
+    rounding = np.finfo(float).eps * (t * np.log(big_n) + big_n) * 2.0 * np.sqrt(big_n)
+    assert (bounds >= (1.0 - 1e-12) * rounding).all()
+    assert (bounds <= 1.02 * rounding).all()
+
+
+def test_find_zeros_evaluation_budget(monkeypatch):
+    """find_zeros(0, 250) evaluates zeta at 888 points: 110 on the Gram grid
+    and 778 in refinement, whose first step is regula falsi (bisection there
+    took 948 in all)."""
+    points, zeta_critical_many = [], specfun.zeta_critical_many
+    monkeypatch.setattr(
+        specfun, "zeta_critical_many", lambda t: points.append(len(t)) or zeta_critical_many(t)
+    )
+    assert len(find_zeros(0.0, 250.0)) == 108
+    assert sum(points) <= 890
 
 
 def test_find_zeros_to_250_against_mpmath():
