@@ -6,7 +6,9 @@ Each figure is one call timed `repeats` times with time.perf_counter after
 one warm-up call, and recorded raw with its median and quartiles, in
 seconds per call or, for the figures named `_per_point`, per point.
 
-- Commands run through `cli.main` in a fresh temporary directory: `zeros`
+- Commands run through `cli.main` in a fresh temporary directory, with
+  the zero cache passed as an absolute path inside it, which
+  ZETACYCLES_CACHE_DIR does not redirect: `zeros`
   to 60 and to 250 on an empty cache (cold) and to 250 on a full one
   (warm), the criterion-3 scan ([0.3, 1.5] at t_max 60), the wide scan
   ([0.3, 4.0] at t_max 250), `detect` at six lengths, `verify`,
@@ -83,35 +85,38 @@ class Bench:
         self.figures[name] = _summary(samples)
 
 
-def _command(*argv: str):
-    def call() -> None:
-        if (code := cli.main(list(argv))) != 0:
-            raise RuntimeError(f"zetacycles {' '.join(argv)} exited with {code}")
-    return call
+def bench_commands(bench: Bench, work: Path) -> None:
+    """The commands, run in work with the zero cache at the absolute path
+    work/zeros.csv, which ZETACYCLES_CACHE_DIR cannot redirect."""
+    cache = work / "zeros.csv"
 
+    def command(*argv: str):
+        argv = ("--cache-path", str(cache), *argv)
 
-def _drop_cache() -> None:
-    for name in ("zeros.csv", "zeros.csv.meta.json"):
-        Path(name).unlink(missing_ok=True)
+        def call() -> None:
+            if (code := cli.main(list(argv))) != 0:
+                raise RuntimeError(f"zetacycles {' '.join(argv)} exited with {code}")
+        return call
 
+    def drop_cache() -> None:
+        for path in (cache, cache.with_name(cache.name + ".meta.json")):
+            path.unlink(missing_ok=True)
 
-def bench_commands(bench: Bench) -> None:
-    """The commands, run in the current directory."""
-    bench.time("cmd.zeros_60_cold", _command("--t-max", "60", "zeros"), setup=_drop_cache)
-    bench.time("cmd.zeros_250_cold", _command("--t-max", "250", "zeros"), setup=_drop_cache)
-    bench.time("cmd.zeros_250_warm", _command("--t-max", "250", "zeros"))
-    bench.time("cmd.scan_criterion3", _command(
+    bench.time("cmd.zeros_60_cold", command("--t-max", "60", "zeros"), setup=drop_cache)
+    bench.time("cmd.zeros_250_cold", command("--t-max", "250", "zeros"), setup=drop_cache)
+    bench.time("cmd.zeros_250_warm", command("--t-max", "250", "zeros"))
+    bench.time("cmd.scan_criterion3", command(
         "--t-max", "60", "--L-window", "0.3,1.5", "--scan-step", "1e-3", "scan"))
-    bench.time("cmd.scan_wide_250", _command(
+    bench.time("cmd.scan_wide_250", command(
         "--t-max", "250", "--L-window", "0.3,4.0", "--scan-step", "1e-3", "scan"))
     for L in DETECT_LENGTHS:
-        bench.time(f"cmd.detect_{L}", _command("--t-max", "60", "detect", L))
-    bench.time("cmd.verify", _command("--t-max", "60", "verify"))
-    bench.time("cmd.laplacian", _command("--t-max", "60", "laplacian"))
+        bench.time(f"cmd.detect_{L}", command("--t-max", "60", "detect", L))
+    bench.time("cmd.verify", command("--t-max", "60", "verify"))
+    bench.time("cmd.laplacian", command("--t-max", "60", "laplacian"))
     grid = sheaf.build_section_grid(60.0, specfun.find_zeros(0.0, 60.0))
     section = sheaf.make_section(lambda L: L * L, lambda L: 1j * L, grid)
     Path("section.json").write_text(json.dumps(sheaf.section_to_payload(section)))
-    bench.time("cmd.jets", _command("--t-max", "60", "jets", "section.json"))
+    bench.time("cmd.jets", command("--t-max", "60", "jets", "section.json"))
 
 
 def bench_layers(bench: Bench) -> None:
@@ -152,7 +157,7 @@ def run(repeats: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="zetacycles_bench_") as work:
         os.chdir(work)
         try:
-            bench_commands(bench)
+            bench_commands(bench, Path(work).resolve())
         finally:
             os.chdir(cwd)
     bench_layers(bench)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import CircleFunction, _count, _positive
-from .specfun import ZetaZero, finite_difference_weights, zeta_critical, zeta_critical_many
+from .specfun import ZetaZero, finite_difference_weights, zeta_critical_many
 
 __all__ = [
     "GlobalSection",
@@ -273,7 +273,7 @@ def zeta_generator(sign: int, zeros: Sequence[ZetaZero]) -> IdealGenerator:
     def evaluator(L):
         """zeta at t = -sign 2 pi / L, for an array of L (or one float L)."""
         t = -sign * _TWO_PI / np.asarray(L, dtype=np.float64)
-        return zeta_critical_many(t)[0] if t.ndim else zeta_critical(float(t))
+        return zeta_critical_many(t.reshape(-1))[0].reshape(t.shape)[()]
 
     return IdealGenerator(zeros=locs, evaluator=evaluator)
 

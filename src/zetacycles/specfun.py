@@ -146,12 +146,12 @@ def _zeta_euler_maclaurin(t):
     """zeta(1/2 + it) for t >= 0 by Euler-Maclaurin; returns (value, error bound).
 
     t is a float, or a 1-D array evaluated as one block. Each point sums
-    n^(-s) for n = 1..N with N = ceil(0.4 t) + 7, then 14 correction terms
+    n^(-s) for n = 1..N with N = ceil(0.4 t) + 8, then 14 correction terms
     T_k = B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) = B_2k/(2k)! q_(2k-2) N^(-s),
     where q_m is the running product of (s+j)/N for j = 0..m. That length
     keeps the truncation bound, from the first omitted term T_15, at most 2%
-    of the rounding term below at every t up to 1000 (0.0193 at worst, at
-    t = 412.5), and the whole bound non-decreasing in t: the rounding term
+    of the rounding term below at every t up to 1000 (0.0164 at worst, at
+    t = 477.5), and the whole bound non-decreasing in t: the rounding term
     gains more at each step of N than the truncation term loses. (The least
     N with the truncation term at most 2% of the rounding term is 6, 16, 45,
     86, 111 and 403 at t = 0, 30, 100, 200, 260 and 1000.) A block lays its
@@ -170,7 +170,7 @@ def _zeta_euler_maclaurin(t):
     """
     s = 0.5 + 1j * t
     if block := isinstance(t, np.ndarray):
-        big_n = np.ceil(0.4 * t).astype(np.int64) + 7
+        big_n = np.ceil(0.4 * t).astype(np.int64) + 8
         starts = np.cumsum(big_n) - big_n
         log_n = _log_range(int(big_n.max()))
         n_index = np.arange(big_n.sum()) - np.repeat(starts, big_n)  # n - 1
@@ -180,7 +180,7 @@ def _zeta_euler_maclaurin(t):
         shifted = np.add.outer(s, _EM_SHIFTS) * (1.0 / big_n)[:, None]
         log_big_n = log_n[big_n - 1]
     else:
-        big_n = math.ceil(0.4 * t) + 7
+        big_n = math.ceil(0.4 * t) + 8
         log_n = _log_range(big_n)
         terms = np.exp(-s * log_n)
         value = complex(np.add.reduceat(terms, [0])[0])
@@ -249,7 +249,7 @@ def riemann_siegel_Z(t: float) -> float:
     return float(rotate_to_Z(point, zeta_critical_many(point)[0])[0])
 
 
-_GRID_BLOCK = 256  # points per Euler-Maclaurin block: 256 (0.4 t + 7) terms, 0.5 MB at t = 260
+_GRID_BLOCK = 256  # points per Euler-Maclaurin block: 256 (0.4 t + 8) terms, 0.5 MB at t = 260
 
 
 def zeta_critical_many(t) -> tuple[np.ndarray, np.ndarray]:

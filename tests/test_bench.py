@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +22,14 @@ FIGURES = {
 
 
 def test_one_repeat_writes_every_figure(tmp_path):
-    out = tmp_path / "bench.json"
+    """Run with ZETACYCLES_CACHE_DIR set: the commands still read and drop
+    the cache in their own temporary directory, and write nothing there."""
+    out, elsewhere = tmp_path / "bench.json", tmp_path / "cache_dir"
+    elsewhere.mkdir()
+    env = {**os.environ, "ZETACYCLES_CACHE_DIR": str(elsewhere)}
     subprocess.run([sys.executable, str(_SCRIPT), "--out", str(out), "--repeats", "1"],
-                   cwd=tmp_path, capture_output=True, check=True)
+                   cwd=tmp_path, env=env, capture_output=True, check=True)
+    assert list(elsewhere.iterdir()) == []
     record = json.loads(out.read_text())
     assert set(record["figures"]) == FIGURES
     assert record["repeats"] == 1

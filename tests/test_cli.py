@@ -617,26 +617,29 @@ class TestCsvReports:
         assert len(lines) >= 3 and lines[-1] == b""  # a header, rows, and a final line end
         assert all(b"\n" not in line and b"\r" not in line for line in lines)
 
-    @pytest.mark.parametrize(
-        "argv,name",
-        [
-            (["scan"], "reports/scan.csv"),
-            (["laplacian"], "reports/laplacian.csv"),
-            (["jets", "section.json"], "reports/jets.csv"),
-            (["zeros"], "zeros.csv"),
-        ],
-    )
-    def test_bytes_are_the_csv_modules(self, tmp_path, argv, name):
-        """Each report, and the zero cache, holds the very bytes csv.writer
-        writes for its rows: no field is quoted, and every line ends in \\r\\n."""
-        seed_cache(20.0)
-        self.write_section(tmp_path / "section.json")
-        assert run("--t-max", "20", *argv) == cli.EXIT_OK
-        data = (tmp_path / name).read_bytes()
-        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    def test_bytes_are_the_csv_modules(self, tmp_path):
+        """_write_csv and write_zero_cache write the very bytes csv.writer
+        writes for the same rows: strings, floats, ints and bools need no
+        quoting, and every line ends in \\r\\n."""
+        header = ["L", "score", "ok", "order"]
+        rows = [
+            ["0.4445212230", "1.2500000000000000e-03", True, 0],
+            [0.1 + 0.2, -3.5e-17, False, 12],
+            ["-0.30000000000000", float("inf"), True, -1],
+        ]
         expected = io.StringIO(newline="")
-        csv.writer(expected).writerows(rows)
-        assert len(rows) >= 2 and data == expected.getvalue().encode()
+        csv.writer(expected).writerows([header, *rows])
+        cli._write_csv(tmp_path / "reports" / "rows.csv", header, (row for row in rows))
+        assert (tmp_path / "reports" / "rows.csv").read_bytes() == expected.getvalue().encode()
+
+        zeros = [ZetaZero(t, 1 + i % 2, 1e-12 * (i + 1)) for i, t in enumerate(ZERO_ORDINATES)]
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(
+            [["ordinate", "multiplicity", "abs_error"],
+             *([f"{z.ordinate:.14e}", z.multiplicity, f"{z.abs_error:.6e}"] for z in zeros)]
+        )
+        specfun.write_zero_cache(tmp_path / "zeros.csv", zeros)
+        assert (tmp_path / "zeros.csv").read_bytes() == expected.getvalue().encode()
 
     def test_jet_rows(self, tmp_path):
         """One row per zero, slot and order: t_k and L_k to 14 places, the
