@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _positive
+from .operators import _count, _positive
 from .schwartz import TestFunction, mellin_psi, mellin_psi_many
 from .specfun import (
     _GRID_BLOCK,
@@ -182,6 +182,8 @@ def scan(
             raise ValueError(f"{name} must be finite, got {value}")
     if not 0.0 < L_min < L_max:
         raise ValueError("need 0 < L_min < L_max")
+    if not family:
+        raise ValueError("family must be nonempty")
     if step <= 0.0:
         raise ValueError("step must be positive")
     steps = (L_max - L_min) / step
@@ -277,6 +279,8 @@ def covering_stability(
     zeros: list[ZetaZero] | None = None,
 ) -> list[CycleReport]:
     """detect at k * L_star for each k; the base length must already verify."""
+    for k in multiples:
+        _count("each of multiples", k)
     base = detect(L_star, family, t_max, tol, zeros)
     if not base.verdict:
         raise ValueError(f"detect({L_star:g}) is negative; nothing to propagate")

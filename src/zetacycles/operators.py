@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schwartz import TestFunction, _decay_certificate, mellin_psi_many
+from .schwartz import TestFunction, fourier_transform, mellin_psi_many
 from .specfun import zeta_critical_many
 
 __all__ = [
@@ -140,77 +140,11 @@ def fourier_closed(f: TestFunction, L: float, N: int) -> CircleFunction:
 # Direct route: periodize E(f) over the lattice mu^Z and integrate the
 # transform on a log-uniform grid.
 
-
-def _fourier_coeffs_of(f: TestFunction) -> tuple[np.ndarray, float]:
-    """Polynomial coefficients (all parities) of the Fourier transform of f
-    against exp(-pi y^2), the self-dual kernel that f's Gaussian is, and the
-    sum of the |terms| that make up the constant one, fh(0).
-
-    Multiplication by x^2 conjugates to -(1/4 pi^2) d^2/dy^2, applied per
-    power of x^2 to the transformed Gaussian.
-    """
-
-    def differentiate(poly: list[float]) -> list[float]:
-        out = [0.0] * (len(poly) + 1)
-        for i, d in enumerate(poly):
-            if i >= 1:
-                out[i - 1] += i * d
-            out[i + 1] -= _TWO_PI * d
-        return out
-
-    acc = [0.0] * (2 * len(f.coeffs) - 1)
-    basis = [1.0]  # transform of the bare Gaussian
-    factor, origin_scale = 1.0, 0.0
-    for j, c in enumerate(f.coeffs):
-        if j > 0:
-            basis = differentiate(differentiate(basis))
-            factor /= -4.0 * math.pi * math.pi
-        if c != 0.0:
-            for i, d in enumerate(basis):
-                acc[i] += c * factor * d
-            origin_scale += abs(c * factor * basis[0])
-    return np.array(acc, dtype=np.float64), origin_scale
-
-
-def _poly_gauss(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    y = np.minimum(y, 40.0)  # exp(-pi y^2) is 0.0 there; the clip keeps the poly finite
-    poly = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        poly = poly * y + c
-    return poly * np.exp(-math.pi * np.square(y))
-
-
 _SPLIT_POINT = 0.5
 _DROP_TOL = 1e-17  # translates and lattice terms that stay below this are left out
 _MEAN_ROUNDING = 64.0 * np.finfo(np.float64).eps  # fh(0) this small, relative to its terms, is 0
-
-
-def _eval_E_array(f: TestFunction, v: np.ndarray, fhat: np.ndarray,
-                  hi: float, lo: float) -> np.ndarray:
-    """E(f) at the points of an ascending 1-D array v > 0, for fh(0) = 0.
-
-    Above the split the defining sum sqrt(v) sum_n f(nv) is taken; below it
-    the Poisson resummation E(v) = v^(-1/2)(fh(0)/2 + sum_m fh(m/v)) -
-    v^(1/2) f(0)/2. A term is summed only where it can exceed _DROP_TOL, by
-    the edges hi of f and lo of fh (see _gauss_edge): f(nv) where nv <= e^hi,
-    a prefix of the points above the split, and fh(m/v) where m/v <= e^(-lo),
-    a suffix of those below it. The terms left out at a point each fall below
-    _DROP_TOL and decay as a Gaussian in steps of v >= 1/2, or of 1/v > 2, so
-    together they stay within a small multiple of _DROP_TOL.
-    """
-    split = np.searchsorted(v, _SPLIT_POINT)
-    vl, vh = v[:split], v[split:]
-    direct, poisson = np.zeros_like(vh), np.zeros_like(vl)
-    n = 1
-    while (k := np.searchsorted(vh, math.exp(hi) / n, side="right")) > 0:
-        direct[:k] += f(n * vh[:k])
-        n += 1
-    m = 1
-    while (k := np.searchsorted(vl, m * math.exp(lo))) < vl.size:
-        poisson[k:] += _poly_gauss(fhat, m / vl[k:])
-        m += 1
-    edge = poisson / np.sqrt(vl) - 0.5 * float(f(0.0)) * np.sqrt(vl)
-    return np.concatenate([edge, np.sqrt(vh) * direct])
+_MAX_STEP = 0.05  # the grid spacing in log v stays at or below this
+_MAX_SAMPLES = 10**7  # translates times grid points; a circle that needs more raises
 
 
 def _gauss_edge(c: float, b: float) -> float:
@@ -222,39 +156,77 @@ def _gauss_edge(c: float, b: float) -> float:
     return y
 
 
+def _lattice_sum(g: TestFunction, v: np.ndarray) -> np.ndarray:
+    """sqrt(v) sum_{n>=1} g(nv) at the points of an ascending 1-D array v > 0.
+
+    A term g(nv) is summed only where nv <= e^edge, g's edge (_gauss_edge of
+    its decay certificate), a prefix of v. The terms left out at a point each
+    fall below _DROP_TOL and decay as a Gaussian in steps of v, so together
+    they stay within a small multiple of _DROP_TOL for v >= 1/2.
+    """
+    top = math.exp(_gauss_edge(*g.decay))
+    total = np.zeros_like(v)
+    n = 1
+    while (k := np.searchsorted(v, top / n, side="right")) > 0:
+        total[:k] += g(n * v[:k])
+        n += 1
+    return np.sqrt(v) * total
+
+
+def _eval_E_array(f: TestFunction, fh: TestFunction, v: np.ndarray) -> np.ndarray:
+    """E(f) at the points of an ascending 1-D array v > 0, given f's Fourier
+    transform fh with fh(0) = 0.
+
+    Above the split the defining sum is taken; below it the Poisson form
+    E_f(v) = E_fh(1/v) - v^(1/2) f(0)/2, which is the same lattice sum of fh
+    at 1/v > 2 (reversed to ascending order).
+    """
+    split = np.searchsorted(v, _SPLIT_POINT)
+    vl = v[:split]
+    poisson = _lattice_sum(fh, 1.0 / vl[::-1])[::-1] - 0.5 * f.coeffs[0] * np.sqrt(vl)
+    return np.concatenate([poisson, _lattice_sum(f, v[split:])])
+
+
 def fourier_direct(f: TestFunction, L: float, N: int) -> CircleFunction:
     """Fourier coefficients of the periodized summation map, numerically.
 
-    The integrand is sampled on a log-uniform grid of max(256, 64N) points
-    over one period (trapezoid rule is spectrally accurate there) after
-    summing the lattice translates mu^k over the range of log v outside which
-    each stays below 1e-17: above it, sqrt(v) C exp(-b v^2) bounds E(f) by f's
-    decay certificate (C, b); below it, the Poisson form leaves v^(-1/2) sum_m
-    fh(m/v), bounded alike by fh's certificate with v -> 1/v, and -v^(1/2)
-    f(0)/2, whose translates below v_lo sum to at most |f(0)|/2 sqrt(v_lo) /
-    (1 - e^(-L/2)). The sum converges only for a mean-zero f: fh(0) at the
-    rounding level of its own terms is set to 0, and any other value raises a
-    ValueError.
+    One period is sampled on a log-uniform grid of max(256, 64N, L/0.05)
+    points, a step of at most 0.05 in log v (the trapezoid rule is spectrally
+    accurate there), and E(f) is summed over the lattice translates mu^k only
+    where log v lies in [lo, hi], outside which it stays below 1e-17: above
+    hi by f's decay certificate (C, b), as sqrt(v) C exp(-b v^2) bounds it;
+    below lo by that of fh = fourier_transform(f) in the Poisson form, and by
+    the tail of -v^(1/2) f(0)/2, whose translates below v_lo sum to at most
+    |f(0)|/2 sqrt(v_lo) / (1 - e^(-L/2)). The sum converges only for a
+    mean-zero f: fh(0) at the rounding level of its terms (the transform of
+    the |c_j| at 0) is set to 0, and any other value raises ValueError, as
+    does a length whose translates times grid points exceed 10^7, before
+    anything is allocated.
     """
     L = _positive("circle length L", L)
     _count("mode count N", N)
-    grid = max(256, 64 * N)
+    grid = max(256, 64 * N, math.ceil(L / _MAX_STEP))
     if f.is_zero:
         return CircleFunction(L, np.zeros(2 * N + 1))
-    fhat, origin_scale = _fourier_coeffs_of(f)
-    if abs(fhat[0]) > _MEAN_ROUNDING * origin_scale:
+    fh = fourier_transform(f)
+    origin_scale = fourier_transform(TestFunction(tuple(map(abs, f.coeffs)))).coeffs[0]
+    if abs(fh.coeffs[0]) > _MEAN_ROUNDING * origin_scale:
         raise ValueError(f"{f.label or 'function'} is not mean-zero (integral "
-                         f"{fhat[0]:.3g}); its periodization diverges")
-    fhat[0] = 0.0
-    hi = _gauss_edge(*f.decay)
-    lo = fh_lo = -_gauss_edge(*_decay_certificate(tuple(fhat[::2])))  # fh is even
-    if (origin := abs(float(f(0.0)))) > 0.0:
+                         f"{fh.coeffs[0]:.3g}); its periodization diverges")
+    fh = TestFunction((0.0,) + fh.coeffs[1:])
+    hi, lo = _gauss_edge(*f.decay), -_gauss_edge(*fh.decay)
+    if (origin := abs(f.coeffs[0])) > 0.0:
         lo = min(lo, 2.0 * math.log(2.0 * _DROP_TOL * -math.expm1(-0.5 * L) / origin))
+    first, stop = math.floor(lo / L), math.ceil(hi / L)
+    if (samples := (stop - first) * grid) > _MAX_SAMPLES:
+        raise ValueError(f"circle length L = {L:g} needs {samples} samples, "
+                         f"more than the limit of {_MAX_SAMPLES}")
     x = (np.arange(grid, dtype=np.float64) * L) / grid
-    shifts = np.arange(math.floor(lo / L), math.ceil(hi / L), dtype=np.float64) * L
-    v = np.exp(shifts[:, None] + x[None, :]).ravel()  # ascending
-    xi = np.sum(_eval_E_array(f, v, fhat, hi, fh_lo).reshape(-1, grid), axis=0)
-    spectrum = np.fft.fft(xi) * (math.sqrt(L) / grid)
+    log_v = (np.arange(first, stop, dtype=np.float64)[:, None] * L + x[None, :]).ravel()
+    a, b = np.searchsorted(log_v, lo), np.searchsorted(log_v, hi, side="right")  # ascending
+    xi = np.zeros_like(log_v)
+    xi[a:b] = _eval_E_array(f, fh, np.exp(log_v[a:b]))
+    spectrum = np.fft.fft(np.sum(xi.reshape(-1, grid), axis=0)) * (math.sqrt(L) / grid)
     return CircleFunction(L, spectrum[np.arange(-N, N + 1) % grid])
 
 

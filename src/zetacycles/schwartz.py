@@ -27,6 +27,7 @@ __all__ = [
     "apply_H",
     "apply_one_plus_H",
     "default_family",
+    "fourier_transform",
     "gaussian_seed",
     "linear_combination",
     "make_test_function",
@@ -143,6 +144,36 @@ def apply_H(f: TestFunction) -> TestFunction:
         out[j] += 2.0 * j * c
         out[j + 1] -= 2.0 * math.pi * c
     return TestFunction(tuple(out), label=f"H({f.label})")
+
+
+@cache  # the rule's per-power terms, shared by every transform
+def _transformed_power(j: int) -> tuple[float, tuple[float, ...]]:
+    """((-1/4 pi^2)^j, the coefficients over y^(2i) of d^(2j)/dy^(2j) exp(-pi y^2)),
+    whose product is the transform of x^(2j) exp(-pi x^2). One more d^2/dy^2
+    takes y^(2i) exp(-pi y^2) to (2i(2i-1) y^(2i-2) - 2 pi (4i+1) y^(2i)
+    + 4 pi^2 y^(2i+2)) exp(-pi y^2)."""
+    if j == 0:
+        return 1.0, (1.0,)
+    factor, basis = _transformed_power(j - 1)
+    step = [0.0] * (len(basis) + 1)
+    for i, d in enumerate(basis):
+        if i > 0:
+            step[i - 1] += 2 * i * (2 * i - 1) * d
+        step[i] -= 2.0 * math.pi * (4 * i + 1) * d
+        step[i + 1] += 4.0 * math.pi * math.pi * d
+    return factor / (-4.0 * math.pi * math.pi), tuple(step)
+
+
+def fourier_transform(f: TestFunction) -> TestFunction:
+    """fh(y) = integral of f(x) exp(-2 pi i x y) dx, by a coefficient rule:
+    exp(-pi x^2) is its own transform and x^2 becomes -(1/4 pi^2) d^2/dy^2."""
+    f = _require_representation(f)
+    out = [0.0] * len(f.coeffs)
+    for j, c in enumerate(f.coeffs):
+        factor, basis = _transformed_power(j)
+        for i, d in enumerate(basis):
+            out[i] += c * factor * d
+    return TestFunction(tuple(out), label=f"F({f.label})")
 
 
 def apply_one_plus_H(f: TestFunction) -> TestFunction:

@@ -141,21 +141,11 @@ def build_section_grid(t_max: float, zeros: Sequence[ZetaZero]) -> np.ndarray:
         raise ValueError(f"grid range is empty; raise t_max above 2 pi / {L_max:g}")
     count = int(math.ceil(_GRID_PER_DECADE * math.log10(L_max / L_min))) + 1
     base = np.geomspace(L_min, L_max, max(count, _MIN_GRID_POINTS))
-    exact: list[float] = []
-    for z in zeros:
-        L_k = _TWO_PI / z.ordinate
-        for k in range(1, 5):
-            point = k * L_k
-            if L_min <= point <= L_max:
-                exact.append(point)
-    exact_arr = np.array(sorted(set(exact)))
-    if exact_arr.size:
-        keep = np.ones(base.size, dtype=bool)
-        for point in exact_arr:
-            keep &= np.abs(base - point) > 1e-6 * point
-        base = base[keep]
-    grid = np.unique(np.concatenate([base, exact_arr]))
-    return grid
+    loci = _TWO_PI / np.array([z.ordinate for z in zeros], dtype=np.float64)
+    exact = np.unique(np.outer(np.arange(1, 5), loci))
+    exact = exact[(L_min <= exact) & (exact <= L_max)]
+    near = np.abs(base[:, None] - exact[None, :]) <= 1e-6 * exact[None, :]
+    return np.unique(np.concatenate([base[~near.any(axis=1)], exact]))
 
 
 def section_to_payload(section: GlobalSection) -> dict:

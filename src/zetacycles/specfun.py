@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -458,8 +459,8 @@ def zeta_jet(t0: float, order: int) -> list[complex]:
     reaches t0 +- 0.18 (t0 alone at order 0); a t0 whose stencil reaches past
     VALIDATED_T_MAX raises AccuracyError, naming t0, before any evaluation.
     """
-    if not 0 <= order <= 4:
-        raise ValueError("order must be between 0 and 4")
+    if not (isinstance(order, numbers.Integral) and 0 <= order <= 4):
+        raise ValueError(f"order must be an integer between 0 and 4, got {order!r}")
     half = _JET_HALF_WIDTH if order else 0
     if math.isfinite(t0) and abs(t0) + (reach := half * _JET_STEP) > VALIDATED_T_MAX:
         raise AccuracyError(f"zeta_jet at t0 = {t0:.6g} samples t0 +- {reach:.2g}, past the"

@@ -173,6 +173,11 @@ class TestScan:
             with pytest.raises(ValueError, match="t_max must be finite"):
                 scan(0.4, 0.5, 1e-3, family, t_max=bad)
 
+    def test_empty_family_rejected_before_evaluation(self, monkeypatch):
+        monkeypatch.setattr(cycles, "zeta_critical_many", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match="family must be nonempty"):
+            scan(0.4, 0.5, 1e-3, [])
+
     def test_no_row_below_t_max(self, family):
         with pytest.raises(ValueError, match="no row frequency below t_max"):
             scan(0.05, 0.06, 1e-3, family)
@@ -257,6 +262,12 @@ class TestCovering:
         for k, report in zip([1, 2, 3], reports):
             assert report.verdict
             assert -k in report.flagged and k in report.flagged
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_multiples_must_be_positive_integers(self, family, monkeypatch, k):
+        monkeypatch.setattr(cycles, "detect", None)  # checked before the base length
+        with pytest.raises(ValueError, match=f"each of multiples must be a positive integer, got {k}"):
+            covering_stability(L_STAR, [1, k], family)
 
     def test_negative_base_rejected(self, family, zeros20):
         with pytest.raises(ValueError):

@@ -134,3 +134,11 @@ def test_package_imports_nothing_from_the_tests():
             else:
                 continue
             assert {m.partition(".")[0] for m in modules} & test_modules == set(), path.name
+
+
+def test_no_module_imports_a_private_name_of_schwartz():
+    """The Gaussian-polynomial algebra is read through schwartz's public names."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("schwartz"):
+                assert [a.name for a in node.names if a.name.startswith("_")] == [], path.name

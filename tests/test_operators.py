@@ -1,6 +1,7 @@
 """Summation operator E, periodization, Fourier analysis on circles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle_frozen import E_SUM_CANONICAL_U1
-from zetacycles import operators
+from zetacycles import operators, schwartz
 from zetacycles.operators import (
     CircleFunction,
     InsufficientModesError,
@@ -20,7 +21,6 @@ from zetacycles.operators import (
     trace_identity_check,
 )
 from zetacycles.schwartz import (
-    _decay_certificate,
     gaussian_seed,
     linear_combination,
     make_test_function,
@@ -50,10 +50,9 @@ def full_lattice_direct(f, L: float, N: int) -> np.ndarray:
     every point v >= 1/2 and 3 Poisson terms at every point below, on the
     same translates and grid."""
     grid = max(256, 64 * N)
-    fhat, _ = operators._fourier_coeffs_of(f)
-    fhat[0] = 0.0
+    fh = schwartz.TestFunction((0.0,) + schwartz.fourier_transform(f).coeffs[1:])
     hi = operators._gauss_edge(*f.decay)
-    lo = -operators._gauss_edge(*_decay_certificate(tuple(fhat[::2])))
+    lo = -operators._gauss_edge(*fh.decay)
     x = (np.arange(grid, dtype=np.float64) * L) / grid
     shifts = np.arange(math.floor(lo / L), math.ceil(hi / L), dtype=np.float64) * L
     v = np.exp(shifts[:, None] + x[None, :])
@@ -61,7 +60,7 @@ def full_lattice_direct(f, L: float, N: int) -> np.ndarray:
     high = v >= 0.5
     vh, vl = v[high], v[~high]
     out[high] = np.sqrt(vh) * sum(f(n * vh) for n in range(1, 17))
-    poisson = sum(operators._poly_gauss(fhat, m / vl) for m in range(1, 4))
+    poisson = sum(fh(m / vl) for m in range(1, 4))
     out[~high] = poisson / np.sqrt(vl)  # f(0) = 0 in the family
     spectrum = np.fft.fft(np.sum(out, axis=0)) * (math.sqrt(L) / grid)
     return spectrum[np.arange(-N, N + 1) % grid]
@@ -194,13 +193,37 @@ class TestFourier:
 
     def test_canonical_vector_tail(self, canonical):
         """f(0) = -1: the -v^(1/2) f(0)/2 tail of E is summed far enough down
-        for the two routes to agree to 1e-12. With a degree-20 part, fh's
-        polynomial at m/v ~ e^80 would overflow if it were not clipped."""
+        for the two routes to agree to 1e-12. A degree-20 part gives fh a
+        degree-20 polynomial, which is evaluated only inside fh's edge, so it
+        stays finite without a clip."""
         steep = linear_combination([canonical, make_test_function(8)], [1.0, 1e-6])
         for f in (canonical, steep):
             for L in CRITERION_1_LENGTHS:
                 direct = fourier_direct(f, L, N=16)
                 assert vector_rel_diff(direct, fourier_closed(f, L, N=16)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L", [20.0, 50.0, 100.0, 1000.0])
+    def test_long_circles(self, family, L):
+        """The grid keeps a step of at most 0.05 in log v and E is sampled
+        only inside [lo, hi], so the routes meet within 1e-12 of max|c| with
+        no warning. With 256 points a period they were 1.2e-5 apart at
+        L = 50 and 0.61 at L = 100, and exp overflowed to NaN from L ~ 713."""
+        for f in family:
+            gap = vector_rel_diff(fourier_direct(f, L, N=2), fourier_closed(f, L, N=2))
+            assert gap <= 1e-12, (f.label, L)
+
+    def test_short_circle_is_refused_before_allocating(self, family):
+        """At L = 1e-6 the translates times the grid come to 7.1e8 samples;
+        the limit of 10^7 raises before any of them is allocated."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"L = 1e-06 needs \d+ samples, more than"):
+                fourier_direct(family[0], 1e-6, N=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_not_mean_zero_is_rejected(self):
         """The periodization of a function with nonzero integral diverges."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from zetacycles.schwartz import (
     apply_H,
     apply_one_plus_H,
     default_family,
+    fourier_transform,
     gaussian_seed,
     linear_combination,
     make_test_function,
@@ -90,6 +92,43 @@ class TestFamilyConstruction:
     def test_representation_guard(self):
         with pytest.raises(RepresentationError):
             apply_H(lambda x: x)
+
+
+class TestFourierTransform:
+    def test_seed_one(self):
+        """g1 = x^2 exp(-pi x^2) transforms to (1/(2 pi) - y^2) exp(-pi y^2)."""
+        assert fourier_transform(gaussian_seed(1)).coeffs == (1.0 / (2.0 * math.pi), -1.0)
+
+    def test_twice_is_the_identity(self):
+        """Each f is even, so F(F f) = f: within 1e-10 of max|c_j| over f0-f8
+        and g0-g8 (1.6e-11 at worst, for f8)."""
+        for k in range(9):
+            for f in (make_test_function(k), gaussian_seed(k)):
+                back = fourier_transform(fourier_transform(f)).coeffs
+                assert len(back) == len(f.coeffs), f.label
+                worst = max(abs(b - c) for b, c in zip(back, f.coeffs))
+                assert worst <= 1e-10 * max(map(abs, f.coeffs)), f.label
+
+    def test_representation_guard(self):
+        with pytest.raises(RepresentationError):
+            fourier_transform(lambda x: x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=6))
+def test_fourier_transform_of_any_coefficients(coeffs):
+    """Against the trapezoid sum of f(x) cos(2 pi x y) on [-8, 8], which is
+    spectrally accurate for a Gaussian, and F(F f) = f on the coefficients."""
+    f = schwartz.TestFunction(tuple(coeffs))
+    fh = fourier_transform(f)
+    scale = sum(abs(c) * gaussian_moment(j, math.pi) for j, c in enumerate(f.coeffs))
+    x = np.linspace(-8.0, 8.0, 1601)
+    for y in (0.0, 0.35, 1.3, 2.0):
+        quadrature = 0.01 * float(np.sum(f(x) * np.cos(2.0 * math.pi * x * y)))
+        assert abs(float(fh(y)) - quadrature) <= 1e-12 * scale + 1e-300, y
+    back = fourier_transform(fh).coeffs
+    worst = max(abs(b - c) for b, c in zip_longest(back, f.coeffs, fillvalue=0.0))
+    assert worst <= 1e-10 * max(map(abs, f.coeffs)) + 1e-300
 
 
 class TestOperatorAction:

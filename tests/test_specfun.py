@@ -606,6 +606,12 @@ class TestJets:
         with pytest.raises(ValueError):
             zeta_jet(25.0, order=5)
 
+    @pytest.mark.parametrize("order", [2.5, "2"])
+    def test_order_must_be_an_integer(self, monkeypatch, order):
+        monkeypatch.setattr(specfun, "zeta_critical_many", None)  # checked before evaluating
+        with pytest.raises(ValueError, match=f"order must be an integer between 0 and 4, got {order!r}"):
+            zeta_jet(1.0, order)
+
     def test_stencil_stays_inside_the_validated_range(self):
         """The 13 nodes reach t0 +- 0.18: at the top of the range a jet
         returns while its nodes end at VALIDATED_T_MAX, and past that it
