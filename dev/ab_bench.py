@@ -8,7 +8,9 @@ one after the other, and alternates which side runs first, so drift in the
 host's speed falls on both sides alike. It then prints, for each end-to-end
 metric in BENCHMARK.json, the median per side, the base side's quartiles
 and how many pairs each side won; and, for each request kind, the median of
-its `ok_ms_p50`, read from each checkout's `zcbench/_out/`. The runs are
+its raw `ok_ms_p50`, read from each checkout's `zcbench/_out/`. Unlike the
+end-to-end times, zcbench does not normalise these by its calibration
+kernel, so they carry the host's drift between runs. The runs are
 sequential, one process at a time. Each run writes and reads its bytecode
 under a fresh empty PYTHONPYCACHEPREFIX, so neither side reads the
 `__pycache__` a checkout happens to hold.
@@ -101,7 +103,8 @@ def report(summary: dict) -> list[str]:
                  else f"{(m['change'] - m['base']) / m['base']:+.1%}")
         lines.append(f"{name:14s} {_fmt(m['base']):>10s} {quartiles:>22s}"
                      f" {_fmt(m['change']):>10s} {delta:>8s}  {m['won'][0]}/{m['won'][1]}")
-    lines.append("ok_ms_p50 by request kind, median: base -> change")
+    lines.append("raw ok_ms_p50 by request kind (not normalised by zcbench's calibration"
+                 " kernel), median: base -> change")
     for kind, (base, change) in summary["kinds"].items():
         lines.append(f"  {kind:18s} {_fmt(base):>10s} -> {_fmt(change)}")
     return lines

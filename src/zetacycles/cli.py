@@ -134,10 +134,7 @@ def _meta_path(cache: Path) -> Path:
 
 def _covered_t_max(cache: Path) -> float | None:
     """The t_max a cache's sidecar records, or None (coverage unknown) when the
-    cache or its sidecar is missing, or the sidecar is not an object with a
-    finite numeric t_max."""
-    if not cache.exists():
-        return None
+    sidecar is missing or is not an object with a finite numeric t_max."""
     try:
         meta = json.loads(_meta_path(cache).read_text())
     except (FileNotFoundError, ValueError):
@@ -164,12 +161,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                     newline="")
 
 
-def _zeros_up_to(cache: Path, t_max: float) -> list[ZetaZero]:
-    """The cached zeros at or below t_max: a cache built for a larger t_max
-    holds more, which no command at this t_max may read."""
-    return [z for z in specfun.read_zero_cache(cache) if z.ordinate <= t_max]
-
-
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
     cache = cfg.resolved_cache_path()
     if not cache.exists():
@@ -187,7 +178,8 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
             f"zero cache {cache} covers t <= {covered}, need"
             f" {cfg.t_max}; rerun `zetacycles zeros`"
         )
-    return _zeros_up_to(cache, cfg.t_max)
+    # a cache built for a larger t_max holds more zeros, which no command at this t_max may read
+    return [z for z in specfun.read_zero_cache(cache) if z.ordinate <= cfg.t_max]
 
 
 # A command takes the config and the parsed arguments, and returns its exit code
@@ -195,12 +187,13 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
 
 
 def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
-    """Materialize the critical zeros up to t_max; idempotent per range."""
+    """Materialize the critical zeros up to t_max; idempotent per range: a
+    cache that the other commands would read is reused."""
     cache = cfg.resolved_cache_path()
-    covered = _covered_t_max(cache)
-    reused = covered is not None and covered >= cfg.t_max
-    zeros = _zeros_up_to(cache, cfg.t_max) if reused else specfun.find_zeros(0.0, cfg.t_max)
-    if not reused:
+    try:
+        zeros, reused = load_zeros(cfg), True
+    except MissingCacheError:
+        zeros, reused = specfun.find_zeros(0.0, cfg.t_max), False
         cache.parent.mkdir(parents=True, exist_ok=True)
         specfun.write_zero_cache(cache, zeros)
         meta = {"t_max": cfg.t_max, "count": len(zeros)}
@@ -221,7 +214,9 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     out_dir = Path(cfg.output_dir)
     zeros = load_zeros(cfg)
     lo, hi = cfg.L_window
+    started = time.perf_counter()
     result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max, zeros)
+    seconds = time.perf_counter() - started
     _write_csv(out_dir / "scan.csv", ["L", "min_row_score"],
                ([f"{L:.10f}", f"{score:.16e}"] for L, score in result.grid))
     _write_json(
@@ -229,9 +224,7 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         # each dip is the cached zero zero_index (from 0), whose ordinate is s
         {"command": "scan", "dips": [{**vars(d), "matched_zero": d.s} for d in result.dips]},
     )
-    stats = dict(result.runtime_stats)
-    stats["profile_seconds"] = stats.pop("seconds")
-    return EXIT_OK, stats
+    return EXIT_OK, {**result.runtime_stats, "profile_seconds": seconds}
 
 
 def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:

@@ -12,7 +12,6 @@ reject a family whose factors all vanish at some row frequency.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +190,6 @@ def scan(
         raise ValueError(f"a grid of {steps + 1.0:.6g} lengths exceeds the limit of {_MAX_LENGTHS}")
     if not (cells := (steps + 1.0) * mode_count(L_max, t_max)) <= _MAX_CELLS:
         raise ValueError(f"a grid of {cells:.6g} (L, n) cells exceeds the limit of {_MAX_CELLS}")
-    started = time.perf_counter()
     l_values = L_min + step * np.arange(int(math.floor(steps + 1e-9)) + 1)
     if L_max - l_values[-1] > 1e-9 * step:
         l_values = np.append(l_values, L_max)
@@ -262,7 +260,6 @@ def scan(
     stats = {
         "grid_points": count,
         "dips": len(dips),
-        "seconds": time.perf_counter() - started,
         "zeta_points": zeta_points,
         "zeta_blocks": zeta_blocks,
         "edge_points": edge_points,

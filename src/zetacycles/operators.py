@@ -86,8 +86,6 @@ def eval_E(f: TestFunction, u: float, tol: float) -> tuple[float, float]:
     """
     u = _positive("u", u)
     _positive("tol", tol)
-    if f.is_zero:
-        return 0.0, 0.0
     c_dec, b_dec = f.decay
     rb = math.sqrt(b_dec)
     prefactor = c_dec * math.sqrt(math.pi) / (2.0 * u * rb)

@@ -79,8 +79,9 @@ class GlobalSection:
     """Two-slot section: one complex sample per grid point and slot.
 
     vanishing_order_at_zero certifies |f(L)| <= C L^k near the left end of
-    the grid; order >= 1 licenses extension by zero below the grid. Between
-    grid points a slot is read through the same local stencil as its jets.
+    the grid; order >= 1 licenses extension by zero below the grid. On and
+    between grid points a slot is read through the same local stencil as its
+    jets, which at a node gives back the node's sample.
     """
 
     grid: np.ndarray
@@ -103,9 +104,6 @@ class GlobalSection:
                 f"point {L} below grid start {self.grid[0]} and no vanishing"
                 " certificate to extend by zero"
             )
-        i = int(np.searchsorted(self.grid, L))
-        if i < self.grid.size and self.grid[i] == L:
-            return complex(values[i])  # exact at a node, where the weights may be an ulp off
         return _jet(_stencil(self.grid, L, 0), values)[0]
 
     def eval_plus(self, L: float) -> complex:
@@ -209,13 +207,14 @@ def theta_on_sections(lam: float, section: GlobalSection) -> GlobalSection:
 
 
 def _stencil(grid: np.ndarray, x0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending indices of the order + _JET_EXTRA_NODES grid points nearest
-    x0, and their weights for derivatives 0..order (one row per order)."""
+    """Indices of the order + _JET_EXTRA_NODES grid points nearest x0, nearest
+    first, and their weights for derivatives 0..order (one row per order). A
+    node at x0 comes first, where its order-0 weights are exactly (1, 0, ...)."""
     if not (grid[0] * (1.0 - 1e-12) <= x0 <= grid[-1] * (1.0 + 1e-12)):
         raise UnderResolvedGridError(f"jet point {x0} outside the grid range")
     if grid.size < (count := order + _JET_EXTRA_NODES):
         raise UnderResolvedGridError(f"only {grid.size} grid points near {x0}, need {count}")
-    idx = np.sort(np.argsort(np.abs(grid - x0))[:count])
+    idx = np.argsort(np.abs(grid - x0))[:count]
     return idx, finite_difference_weights(x0, grid[idx], order)
 
 

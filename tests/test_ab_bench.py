@@ -52,6 +52,9 @@ def test_medians_quartiles_and_pairs_won(ab):
     assert lines[0].startswith("3 pairs; failed requests base 0, change 0")
     assert any(line.split()[:2] == ["wall_s", "0.42"] and line.endswith("1/2") for line in lines)
     assert "  verify                     40 -> 22" in lines
+    # the per-kind figures are not normalised by the calibration kernel, and say so
+    (heading,) = [line for line in lines if "ok_ms_p50" in line]
+    assert heading.startswith("raw ok_ms_p50 by request kind")
 
 
 def test_missing_values_and_failures(ab):

@@ -711,6 +711,14 @@ class TestRunner:
         assert run("--t-max", "20", "--tol", "nan", "detect", "1.0") == cli.EXIT_USAGE
         assert not list((tmp_path / "reports").glob("*_runtime.json"))
 
+    def test_unwritable_output_dir_exits_2_naming_it(self, tmp_path, capsys):
+        # an OSError: the output directory would sit under a regular file
+        (tmp_path / "plain").write_text("")
+        assert run("--output-dir", "plain/reports", "verify") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: plain/reports: ") and "Not a directory" in err
+        assert err.count("\n") == 1
+
     def test_parser_built_once(self, monkeypatch):
         monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
         assert run("--t-max", "5", "zeros") == cli.EXIT_OK

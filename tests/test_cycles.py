@@ -68,6 +68,13 @@ class TestDetect:
             assert m.distance <= 1e-9
             assert abs(abs(m.s) - T1) <= 1e-9
 
+    def test_without_a_zero_list_matches_through_find_zeros(self, family):
+        report = detect(L_STAR, family)
+        assert report.flagged == [-1, 1]
+        for m in report.matched_zeros:
+            assert abs(m.zero.ordinate - T1) <= m.zero.abs_error
+            assert m.distance <= 1e-9
+
     def test_negative_when_perturbed(self, family, zeros20):
         report = detect(L_STAR + 1e-3, family, t_max=20.0, zeros=zeros20)
         assert not report.verdict
@@ -157,6 +164,14 @@ class TestScan:
         ls = [L for L, _ in result.grid]
         assert ls == pytest.approx([0.42 + 2e-3 * i for i in range(6)])
         assert all(score > 0.0 for _, score in result.grid)
+
+    def test_same_inputs_give_equal_results(self, family, zeros60):
+        """A scan is a function of its inputs: it keeps no clock, so its
+        runtime_stats hold counts alone and two calls compare equal."""
+        first = scan(0.40, 0.46, 1e-3, family, t_max=60.0, zeros=zeros60)
+        assert first == scan(0.40, 0.46, 1e-3, family, t_max=60.0, zeros=zeros60)
+        assert set(first.runtime_stats) == {
+            "grid_points", "dips", "zeta_points", "zeta_blocks", "edge_points"}
 
     def test_input_validation(self, family):
         with pytest.raises(ValueError):

@@ -76,6 +76,15 @@ class TestEvalE:
         value, bound = eval_E(family[0], 10.0, 1e-110)
         assert abs(value) + bound < 1e-100
 
+    def test_zero_function(self):
+        # the decay certificate of f = 0 is C = 0, so the general path gives 0 and a bound of 0
+        assert eval_E(schwartz.TestFunction((0.0,)), 1.0, 1e-10) == (0.0, 0.0)
+
+    def test_unattainable_tail_tolerance(self, family):
+        # at u = 1e-7 the cutoff would pass 2^24 terms before the tail bound fell below 1e-17
+        with pytest.raises(ValueError, match="tail tolerance 1e-17 unattainable at u = 1e-07"):
+            eval_E(family[0], 1e-7, 1e-17)
+
     def test_input_validation(self, family):
         with pytest.raises(ValueError):
             eval_E(family[0], 0.0, 1e-10)

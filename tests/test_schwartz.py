@@ -89,6 +89,10 @@ class TestFamilyConstruction:
             direct = family[0](x) - 2.0 * family[1](x) + 0.5 * family[2](x)
             assert combo(x) == pytest.approx(direct, rel=1e-14, abs=1e-300)
 
+    def test_linear_combination_needs_one_weight_per_function(self, family):
+        with pytest.raises(ValueError, match="equally many functions and weights"):
+            linear_combination(family[:1], [])
+
     def test_representation_guard(self):
         with pytest.raises(RepresentationError):
             apply_H(lambda x: x)

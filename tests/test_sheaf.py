@@ -112,6 +112,10 @@ class TestGlobalSection:
             with pytest.raises(ValueError, match="finite"):
                 GlobalSection(grid, ones, samples)
 
+    def test_one_point_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            GlobalSection([1.0], [1.0], [1.0])
+
     def test_zero_extension_below_grid(self):
         grid = np.linspace(1.0, 2.0, 16)
         sec = GlobalSection(grid, np.ones(16), np.ones(16))
@@ -297,6 +301,19 @@ class TestJets:
             assert abs(entry.jets_plus[j] - truth[j]) <= budget
             assert abs(entry.jets_minus[j] - truth[j]) <= budget
 
+    def test_order_0_jets_at_the_loci_are_the_samples(self, section_grid, zeros60):
+        """Every locus is a node of the grid, and a stencil lists its nodes
+        nearest first, where Fornberg's order-0 weights are exactly (1, 0, ...):
+        the order-0 jets are the samples there, bit for bit."""
+        sec = make_section(lambda L: L * L, lambda L: 1j * L, section_grid)
+        jets = quotient_jets(sec, zeros60)
+        assert len(jets) == 13
+        for entry in jets:
+            i = int(np.searchsorted(section_grid, entry.location))
+            assert section_grid[i] == entry.location
+            assert entry.jets_plus[0] == sec.f_plus[i]
+            assert entry.jets_minus[0] == sec.f_minus[i]
+
     def test_under_resolved_grid(self, zeros60):
         grid = np.geomspace(0.1, 4.0, 6)
         sec = GlobalSection(grid, np.ones(6), np.ones(6))
@@ -350,6 +367,10 @@ class TestGenerators:
             assert len(zeta_generator(sign, zeros).zeros) == len(zeros) == 114
         assert len(read) == 2
         assert max(r.max() for r in read) == pytest.approx(zeros[-1].ordinate, rel=1e-15)
+
+    def test_generator_without_zeros_rejected(self):
+        with pytest.raises(ValueError, match="at least one zero"):
+            IdealGenerator((), lambda L: L - 1.0)
 
     def test_non_vanishing_evaluator_rejected(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,10 @@ class TestGamma:
             with pytest.raises(PoleError):
                 gamma_complex(z)
 
+    def test_log_gamma_poles(self):
+        with pytest.raises(PoleError, match="log-gamma pole"):
+            log_gamma(-2)
+
     def test_reflection_identity(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
@@ -136,6 +140,12 @@ class TestZetaCritical:
     def test_z_needs_finite_t(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             riemann_siegel_Z(t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            zeta_critical(t)
+
+    def test_z_needs_nonnegative_t(self):
+        with pytest.raises(ValueError, match="requires t >= 0"):
+            riemann_siegel_Z(-1.0)
 
     def test_unreachable_target(self, monkeypatch):
         monkeypatch.setattr(specfun, "_TARGET_ABS_ERROR", 1e-14)
@@ -229,6 +239,12 @@ class TestFindZeros:
         )
         assert part[1:] == above[1:]
 
+    def test_range_validation(self):
+        with pytest.raises(ValueError, match="need 0 <= t_min < t_max"):
+            find_zeros(5.0, 5.0)
+        with pytest.raises(AccuracyError, match="exceeds the validated range"):
+            find_zeros(0.0, 300.0)
+
     def test_first_zero_alone(self):
         (zero,) = find_zeros(0.0, 14.2)
         assert abs(zero.ordinate - ZERO_ORDINATES[0]) <= zero.abs_error <= 1e-9
@@ -270,6 +286,17 @@ class TestFindZeros:
             write_zero_cache(path, broken)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["zeros.csv"]
+
+    def test_cache_rejects_a_wrong_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,m,e\n14.1,1,1e-9\n")
+        with pytest.raises(ValueError, match="unexpected zero-cache header"):
+            read_zero_cache(path)
+
+    def test_write_rejects_decreasing_zeros_and_writes_nothing(self, tmp_path, zeros60):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            write_zero_cache(tmp_path / "zeros.csv", zeros60[::-1])
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_rejects_unsorted(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -651,3 +678,16 @@ def test_fd_weights_differentiate_polynomials(degree, x0, seed):
         approx = float(np.dot(w[k], samples))
         rounding = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(w[k] * samples)))
         assert abs(approx - exact) <= max(1e-7 * max(1.0, abs(exact)), rounding)
+
+
+def test_fd_weights_need_a_node():
+    with pytest.raises(ValueError, match="need at least one node"):
+        finite_difference_weights(0.0, [], 0)
+
+
+def test_fd_weights_at_a_first_node_pick_its_sample():
+    """With x0 the first node, the order-0 weights are exactly (1, 0, ..., 0):
+    a stencil that lists a node at its point first reads that node's sample."""
+    nodes = [0.7, 0.69, 0.72, 0.66, 0.75]
+    w = finite_difference_weights(0.7, nodes, max_order=2)
+    assert w[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
