@@ -50,7 +50,7 @@ _TWO_PI = 2.0 * math.pi
 # that decay across every representable frequency.
 _PSI_FLOOR = 1e-250
 
-_SCAN_CELLS = 1 << 16  # (L, n) cells per scan chunk: about 0.5 MB per work array
+_SCAN_CELLS = 1 << 16  # (L, n) cells per chunk of whole rows, unless one row is longer
 
 # Input limits, checked before any evaluation: mode_count at detect's L and
 # scan's L_max (detect scores each row in one scalar call), the lengths of
@@ -197,39 +197,34 @@ def scan(
     if _TWO_PI / L_min > t_max:  # the frequency of row 1 falls as L grows
         raise ValueError(f"no row frequency below t_max = {t_max:g} at L = {L_min:g}")
 
-    # |zeta| is the row score: one zeta_critical_many call per chunk of at most
-    # _SCAN_CELLS (L, n >= 1) cells, at the pairs with 2 pi n / L <= t_max and
-    # each row's edge cell
+    # |zeta| is the row score: one zeta_critical_many call per chunk of whole
+    # rows n >= 1 across every length, at the pairs with 2 pi n / L <= t_max and
+    # each row's edge cell; a row's brackets all lie in its chunk
     n = np.arange(1, mode_count(l_values[-1], t_max) + 1)
-    rows = max(1, _SCAN_CELLS // n.size)
-    best = np.empty(count)
-    l_next = np.append(l_values[1:], l_values[-1])
-    s_last = z_last = np.empty((0, n.size))  # the previous chunk's last length
+    rows = max(1, _SCAN_CELLS // count)
+    best = np.full(count, np.inf)
     brackets = []  # (row n, low end, high end in s) of each sign change of Z
     zeta_points = zeta_blocks = edge_points = 0
-    for first in range(0, count, rows):
-        chunk = slice(first, first + rows)
-        s = _TWO_PI * n / l_values[chunk, None]
+    for first in range(0, n.size, rows):
+        s = _TWO_PI * n[first:first + rows, None] / l_values
         pairs = s <= t_max
         # each row's last cell above t_max, for the sign of Z there (none at L_max)
-        s_next = _TWO_PI * n / l_next[chunk, None]
-        edge = ~pairs & (s_next <= t_max) & (s <= VALIDATED_T_MAX)
+        edge = np.zeros_like(pairs)
+        edge[:, :-1] = ~pairs[:, :-1] & pairs[:, 1:] & (s[:, :-1] <= VALIDATED_T_MAX)
         cells = pairs | edge
         t = s[cells]
         zeta = zeta_critical_many(t)[0]
         scores = np.full(s.shape, np.inf)
         scores[pairs] = np.abs(zeta[pairs[cells]])
-        best[chunk] = scores.min(axis=1)
+        best = np.minimum(best, scores.min(axis=0))
         zeta_blocks += -(-t.size // _GRID_BLOCK)
         zeta_points += int(np.count_nonzero(pairs))
         edge_points += int(np.count_nonzero(edge))
 
         z_rows = np.full(s.shape, np.nan)  # NaN off the pairs and edges: it brackets nothing
         z_rows[cells] = rotate_to_Z(t, zeta)
-        s, z_rows = np.vstack([s_last, s]), np.vstack([z_last, z_rows])
-        i, j = _sign_changes(z_rows)  # frequency falls as L grows: s[i + 1] < s[i]
-        brackets.append((n[j], s[i + 1, j], s[i, j]))
-        s_last, z_last = s[-1:], z_rows[-1:]
+        i, j = _sign_changes(z_rows.T)  # frequency falls as L grows: s[j, i + 1] < s[j, i]
+        brackets.append((n[first + j], s[j, i + 1], s[j, i]))
 
     # as in _sign_changes, a zero on a grid point belongs to the bracket whose
     # low end it is: each bracket holds the listed zeros in [low, high)

@@ -496,8 +496,9 @@ def _strictly_increasing(zeros: list[ZetaZero]) -> bool:
 def write_zero_cache(path: str | Path, zeros: list[ZetaZero]) -> None:
     if not _strictly_increasing(zeros):
         raise ValueError("zero ordinates must be strictly increasing")
-    # the bytes csv.writer would write: numbers need no quoting, lines end in \r\n
-    lines = (f"{z.ordinate:.14e},{z.multiplicity},{z.abs_error:.6e}\r\n" for z in zeros)
+    # the bytes csv.writer would write: numbers need no quoting, lines end in \r\n;
+    # an ordinate's repr round-trips exactly (float(): numpy 2 reprs np.float64(...))
+    lines = (f"{float(z.ordinate)!r},{z.multiplicity},{z.abs_error:.6e}\r\n" for z in zeros)
     with open_replacing(path) as fh:
         fh.write("ordinate,multiplicity,abs_error\r\n" + "".join(lines))
 

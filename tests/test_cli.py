@@ -632,11 +632,14 @@ class TestCsvReports:
         cli._write_csv(tmp_path / "reports" / "rows.csv", header, (row for row in rows))
         assert (tmp_path / "reports" / "rows.csv").read_bytes() == expected.getvalue().encode()
 
-        zeros = [ZetaZero(t, 1 + i % 2, 1e-12 * (i + 1)) for i, t in enumerate(ZERO_ORDINATES)]
+        # an ordinate is written as the repr of a Python float, a numpy scalar too
+        zeros = [ZetaZero(np.float64(t) if i % 2 else t, 1 + i % 2, 1e-12 * (i + 1))
+                 for i, t in enumerate(ZERO_ORDINATES)]
         expected = io.StringIO(newline="")
         csv.writer(expected).writerows(
             [["ordinate", "multiplicity", "abs_error"],
-             *([f"{z.ordinate:.14e}", z.multiplicity, f"{z.abs_error:.6e}"] for z in zeros)]
+             *([repr(t), z.multiplicity, f"{z.abs_error:.6e}"]
+               for t, z in zip(ZERO_ORDINATES, zeros))]
         )
         specfun.write_zero_cache(tmp_path / "zeros.csv", zeros)
         assert (tmp_path / "zeros.csv").read_bytes() == expected.getvalue().encode()

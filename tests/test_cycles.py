@@ -16,6 +16,7 @@ from zetacycles.cycles import (
 )
 from zetacycles.schwartz import linear_combination, make_test_function
 from zetacycles.specfun import (
+    _GRID_BLOCK,
     VALIDATED_T_MAX,
     AccuracyError,
     find_zeros,
@@ -207,18 +208,25 @@ class TestScan:
             ]
             assert abs(score - min(row_scores)) <= 1e-14 * score, L
 
-    @pytest.mark.parametrize("cells", [1, 40])
+    @pytest.mark.parametrize("cells", [1, 40, 1803])
     def test_chunked_profile_matches_one_chunk(self, family, monkeypatch, cells):
-        """A window walked in many small chunks gives the profile, dips and
-        point count of the same window in one chunk."""
+        """A window walked in chunks of whole rows, one row each (cells 1 and
+        40) or three rows of 601 lengths then two (1,803), gives the profile,
+        dips and point count of the same window in one chunk. The window has
+        rows n = 1 .. 8, and each chunk makes one zeta_critical_many call."""
         whole = scan(0.3, 0.9, 1e-3, family, t_max=60.0)
+        calls = []
         monkeypatch.setattr(cycles, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(cycles, "zeta_critical_many",
+                            lambda t: calls.append(t.size) or zeta_critical_many(t))
         chunked = scan(0.3, 0.9, 1e-3, family, t_max=60.0)
+        assert len(calls) == {1: 8, 40: 8, 1803: 3}[cells] + 1  # and once at the dips' zeros
         assert chunked.grid == whole.grid
         assert chunked.dips == whole.dips
         assert chunked.runtime_stats["zeta_points"] == whole.runtime_stats["zeta_points"]
         assert chunked.runtime_stats["edge_points"] == whole.runtime_stats["edge_points"]
-        assert chunked.runtime_stats["zeta_blocks"] > whole.runtime_stats["zeta_blocks"]
+        blocks = sum(-(-size // _GRID_BLOCK) for size in calls[:-1])  # each chunk's own
+        assert chunked.runtime_stats["zeta_blocks"] == blocks
 
     def test_criterion_3_dips_unchanged(self, family):
         """The dips of the criterion-3 sweep are the 97 cycles 2 pi n / t_k of
