@@ -99,7 +99,7 @@ def bench_commands(bench: Bench, work: Path) -> None:
         return call
 
     def drop_cache() -> None:
-        for path in (cache, cache.with_name(cache.name + ".meta.json")):
+        for path in (cache, cli._meta_path(cache)):
             path.unlink(missing_ok=True)
 
     bench.time("cmd.zeros_60_cold", command("--t-max", "60", "zeros"), setup=drop_cache)

