@@ -148,19 +148,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_text(payload))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The bytes csv.writer would write: every field is a number, a bool or a
-    plain word, so none needs quoting; lines end in \\r\\n."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]),
-                    newline="")
-
-
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
     cache = cfg.resolved_cache_path()
     if not cache.exists():
@@ -178,15 +165,21 @@ def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
             f"zero cache {cache} covers t <= {covered}, need"
             f" {cfg.t_max}; rerun `zetacycles zeros`"
         )
+    try:
+        zeros = specfun.read_zero_cache(cache)
+    except ValueError as exc:  # a damaged cache, which `zeros` rebuilds
+        raise MissingCacheError(f"{exc}; rerun `zetacycles zeros`") from exc
     # a cache built for a larger t_max holds more zeros, which no command at this t_max may read
-    return [z for z in specfun.read_zero_cache(cache) if z.ordinate <= cfg.t_max]
+    return [z for z in zeros if z.ordinate <= cfg.t_max]
 
 
-# A command takes the config and the parsed arguments, and returns its exit code
-# and the entries it adds to <command>_runtime.json, which main writes.
+# A command takes the config and the parsed arguments. It returns its exit code,
+# its reports as {file name: text}, and the entries it adds to
+# <command>_runtime.json; main writes the reports, then the runtime file.
+_Result = tuple[int, dict[str, str], dict]
 
 
-def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     """Materialize the critical zeros up to t_max; idempotent per range: a
     cache that the other commands would read is reused."""
     cache = cfg.resolved_cache_path()
@@ -195,39 +188,35 @@ def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
     except MissingCacheError:
         zeros, reused = specfun.find_zeros(0.0, cfg.t_max), False
         cache.parent.mkdir(parents=True, exist_ok=True)
+        _meta_path(cache).unlink(missing_ok=True)  # coverage unknown until the new cache is whole
         specfun.write_zero_cache(cache, zeros)
         meta = {"t_max": cfg.t_max, "count": len(zeros)}
         with specfun.open_replacing(_meta_path(cache)) as fh:  # the sidecar last, once the cache is whole
             fh.write(_json_text(meta))
-    _write_json(
-        Path(cfg.output_dir) / "zeros_report.json",
-        {"command": "zeros", "cache": str(cache), "count": len(zeros), "reused": reused},
-    )
-    return EXIT_OK, {"max_abs_error": max((z.abs_error for z in zeros), default=0.0)}
+    report = {"command": "zeros", "cache": str(cache), "count": len(zeros), "reused": reused}
+    return (EXIT_OK, {"zeros_report.json": _json_text(report)},
+            {"max_abs_error": max((z.abs_error for z in zeros), default=0.0)})
 
 
 def _family(cfg: RunConfig) -> list[schwartz.TestFunction]:
     return [schwartz.make_test_function(k) for k in cfg.family_ks]
 
 
-def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
-    out_dir = Path(cfg.output_dir)
+def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     zeros = load_zeros(cfg)
     lo, hi = cfg.L_window
     started = time.perf_counter()
     result = cycles.scan(lo, hi, cfg.scan_step, _family(cfg), cfg.t_max, zeros)
     seconds = time.perf_counter() - started
-    _write_csv(out_dir / "scan.csv", ["L", "min_row_score"],
-               ([f"{L:.10f}", f"{score:.16e}"] for L, score in result.grid))
-    _write_json(
-        out_dir / "dips.json",
-        # each dip is the cached zero zero_index (from 0), whose ordinate is s
-        {"command": "scan", "dips": [{**vars(d), "matched_zero": d.s} for d in result.dips]},
-    )
-    return EXIT_OK, {**result.runtime_stats, "profile_seconds": seconds}
+    rows = ([f"{L:.10f}", f"{score:.16e}"] for L, score in result.grid)
+    # each dip is the cached zero zero_index (from 0), whose ordinate is s
+    dips = {"command": "scan", "dips": [{**vars(d), "matched_zero": d.s} for d in result.dips]}
+    reports = {"scan.csv": specfun._csv_text(["L", "min_row_score"], rows),
+               "dips.json": _json_text(dips)}
+    return EXIT_OK, reports, {**result.runtime_stats, "profile_seconds": seconds}
 
 
-def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     zeros = load_zeros(cfg)
     report = cycles.detect(args.L, _family(cfg), cfg.t_max, cfg.tol, zeros=zeros)
     payload = {
@@ -246,10 +235,9 @@ def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
             }
             for m in report.matched_zeros
         ],
-        "zeta_scores": {str(n): v for n, v in sorted(report.zeta_scores.items())},
+        "zeta_scores": {str(n): v for n, v in report.zeta_scores.items()},
     }
-    _write_json(Path(cfg.output_dir) / "detect.json", payload)
-    return EXIT_OK, {}
+    return EXIT_OK, {"detect.json": _json_text(payload)}, {}
 
 
 def _verify_checks(cfg: RunConfig) -> list[dict]:
@@ -284,25 +272,23 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     checks = _verify_checks(cfg)
     all_pass = all(c["pass"] for c in checks)
-    _write_json(
-        Path(cfg.output_dir) / "verify.json",
-        {"command": "verify", "checks": checks, "all_pass": all_pass},
-    )
-    return (EXIT_OK if all_pass else EXIT_ASSERTION), {}
+    report = {"command": "verify", "checks": checks, "all_pass": all_pass}
+    return (EXIT_OK if all_pass else EXIT_ASSERTION), {"verify.json": _json_text(report)}, {}
 
 
-def cmd_laplacian(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_laplacian(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     rows = laplacian.negativity_rows(load_zeros(cfg))
-    header = ["ordinate", "eigenvalue", "negativity_ok"]
-    _write_csv(Path(cfg.output_dir) / "laplacian.csv", header,
-               ([f"{ordinate:.14f}", f"{value:.16e}", ok] for ordinate, value, ok in rows))
-    return (EXIT_OK if all(ok for _, _, ok in rows) else EXIT_ASSERTION), {}
+    text = specfun._csv_text(["ordinate", "eigenvalue", "negativity_ok"],
+                             ([f"{ordinate:.14f}", f"{value:.16e}", ok]
+                              for ordinate, value, ok in rows))
+    code = EXIT_OK if all(ok for _, _, ok in rows) else EXIT_ASSERTION
+    return code, {"laplacian.csv": text}, {}
 
 
-def cmd_jets(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_jets(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     path = Path(args.section)
     if not path.exists():
         raise MissingCacheError(f"section file {path} not found")
@@ -316,8 +302,7 @@ def cmd_jets(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict]:
         for order, v in enumerate(values)
     )
     header = ["t_k", "L_k", "slot", "order", "jet_re", "jet_im"]
-    _write_csv(Path(cfg.output_dir) / "jets.csv", header, rows)
-    return EXIT_OK, {}
+    return EXIT_OK, {"jets.csv": specfun._csv_text(header, rows)}, {}
 
 
 _COMMANDS = {
@@ -380,15 +365,18 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(_length_operand(argv))
         cfg = build_config(args)
         started = time.perf_counter()
-        code, extra = _COMMANDS[args.command](cfg, args)
+        code, reports, extra = _COMMANDS[args.command](cfg, args)
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in reports.items():
+            (out_dir / name).write_text(text, newline="")
         runtime = {"command": args.command, "seconds": time.perf_counter() - started, **extra}
-        # into the directory the command's report made
-        (Path(cfg.output_dir) / f"{args.command}_runtime.json").write_text(_json_text(runtime))
+        (out_dir / f"{args.command}_runtime.json").write_text(_json_text(runtime), newline="")
         return code
     except (ConfigError, MissingCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (specfun.AccuracyError, specfun.PoleError, ValueError) as exc:
+    except (specfun.AccuracyError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

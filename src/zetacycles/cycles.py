@@ -64,6 +64,15 @@ class FamilyDegenerateError(ValueError):
     """All Mellin factors vanish at some row frequency; scores undefined."""
 
 
+def _reject_degenerate(s, psi_max) -> None:
+    """Raise FamilyDegenerateError at the first frequency s whose largest
+    family Mellin factor psi_max falls below _PSI_FLOOR."""
+    if (low := np.asarray(psi_max) < _PSI_FLOOR).any():
+        raise FamilyDegenerateError(
+            f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s[low.argmax()]:.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class MatchedZero:
     n: int
@@ -128,14 +137,13 @@ def detect(
     _positive("t_max", t_max)
     # the loop the benchmark's tracer counts: a row is one zeta_critical, one mellin_psi a member
     n_modes = mode_count(L, t_max)
-    zeta_scores = {}
+    zeta_scores, frequencies, psi_max = {}, [], []
     for n in range(-n_modes, n_modes + 1):
         s = _TWO_PI * n / L
         zeta_scores[n] = abs(zeta_critical(-s))
-        if max(abs(mellin_psi(f, s)[0]) for f in family) < _PSI_FLOOR:
-            raise FamilyDegenerateError(
-                f"family Mellin factors all below {_PSI_FLOOR:g} at s = {s:.6g}"
-            )
+        frequencies.append(s)
+        psi_max.append(max(abs(mellin_psi(f, s)[0]) for f in family))
+    _reject_degenerate(frequencies, psi_max)
     flagged = [n for n, score in zeta_scores.items() if n != 0 and score < tol]
     if flagged and zeros is None:
         zeros = find_zeros(0.0, t_max)
@@ -236,11 +244,7 @@ def scan(
     index, back = np.unique(k, return_inverse=True)
     t_k = ordinates[index]
     residual = np.abs(rotate_to_Z(t_k, zeta_critical_many(t_k)[0]))[back]
-    psi_max = np.max([np.abs(mellin_psi_many(f, t_k)) for f in family], axis=0)
-    if (low_psi := psi_max < _PSI_FLOOR).any():
-        raise FamilyDegenerateError(
-            f"family Mellin factors all below {_PSI_FLOOR:g} at s = {t_k[low_psi.argmax()]:.6g}"
-        )
+    _reject_degenerate(t_k, np.max([np.abs(mellin_psi_many(f, t_k)) for f in family], axis=0))
     L_star = _TWO_PI * rows_n / ordinates[k]
     order = np.argsort(L_star, kind="stable")
     columns = (L_star, rows_n, ordinates[k], residual, k, width)

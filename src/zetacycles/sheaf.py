@@ -44,6 +44,7 @@ _MIN_GRID_POINTS = 8
 _GRID_L_MAX = 4.0  # longest circle of the section grid
 _GRID_PER_DECADE = 64  # geometric points per decade of L
 _JET_EXTRA_NODES = 9
+_JET_SCORE_TOL = 1e-3  # a jet scoring above it witnesses non-vanishing
 
 
 class UnderResolvedGridError(ValueError):
@@ -238,16 +239,16 @@ class IdealGenerator:
         for L_k, m_k in self.zeros:
             _positive("zero location", L_k)
             _count("zero order", m_k)
-        # order-m vanishing: no jet through m-1 scores above 1e-3, as in
-        # ideal_membership, on nodes at and above each L_k, so that a zeta
-        # generator reads t = 2 pi / L at or below its zeros; one evaluator
-        # call samples every zero's nodes
+        # order-m vanishing: no jet through m-1 scores above _JET_SCORE_TOL, on
+        # nodes at and above each L_k, so that a zeta generator reads
+        # t = 2 pi / L at or below its zeros; one evaluator call samples
+        # every zero's nodes
         nodes = [L_k * (1.0 + 1e-3 * np.arange(m_k - 1 + _JET_EXTRA_NODES))
                  for L_k, m_k in self.zeros]
         samples = np.asarray(self.evaluator(np.concatenate(nodes)))
         ends = np.cumsum([x.size for x in nodes])
         for (L_k, m_k), x, y in zip(self.zeros, nodes, np.split(samples, ends[:-1])):
-            if _witnesses(x, y, L_k, m_k, 1e-3):
+            if _witnesses(x, y, L_k, m_k, _JET_SCORE_TOL):
                 raise ValueError(f"evaluator does not vanish to order {m_k} at {L_k}")
 
 
@@ -291,7 +292,7 @@ def ideal_membership(
     grid: Sequence[float],
     values: Sequence[complex],
     g: IdealGenerator,
-    tol: float = 1e-3,
+    tol: float = _JET_SCORE_TOL,
 ) -> tuple[bool, list[JetWitness]]:
     """Whitney-style membership of the function sampled as values on grid:
     its jets through order m_k - 1 vanish. The grid and samples meet the

@@ -493,14 +493,20 @@ def _strictly_increasing(zeros: list[ZetaZero]) -> bool:
     return all(a.ordinate < b.ordinate for a, b in zip(zeros, zeros[1:]))
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """The text csv.writer would write for the header and rows: every field is
+    a number, a bool or a plain word, so none needs quoting; lines end in \\r\\n.
+    Write it with newline="" to keep those line ends."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
+
+
 def write_zero_cache(path: str | Path, zeros: list[ZetaZero]) -> None:
     if not _strictly_increasing(zeros):
         raise ValueError("zero ordinates must be strictly increasing")
-    # the bytes csv.writer would write: numbers need no quoting, lines end in \r\n;
     # an ordinate's repr round-trips exactly (float(): numpy 2 reprs np.float64(...))
-    lines = (f"{float(z.ordinate)!r},{z.multiplicity},{z.abs_error:.6e}\r\n" for z in zeros)
+    rows = ([repr(float(z.ordinate)), z.multiplicity, f"{z.abs_error:.6e}"] for z in zeros)
     with open_replacing(path) as fh:
-        fh.write("ordinate,multiplicity,abs_error\r\n" + "".join(lines))
+        fh.write(_csv_text(["ordinate", "multiplicity", "abs_error"], rows))
 
 
 def read_zero_cache(path: str | Path) -> list[ZetaZero]:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior in throwaway directories."""
 
+import ast
 import csv
 import dataclasses
 import io
@@ -289,6 +290,33 @@ class TestCacheGate:
         assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert f"zeros.csv, line 3: {reason}" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", ["19.5\n", "x,1,1e-9\n"], ids=["short_row", "non_numeric"])
+    def test_zeros_rebuilds_a_damaged_cache(self, tmp_path, capsys, damage):
+        """A cache the readers reject names the rerun, and `zeros` rebuilds it."""
+        seed_cache(20.0)
+        with open(tmp_path / "zeros.csv", "a") as fh:
+            fh.write(damage)
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith("; rerun `zetacycles zeros`\n")
+        assert run("--t-max", "20", "zeros") == cli.EXIT_OK
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report["reused"] is False and report["count"] == 1
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_OK
+
+    def test_cut_off_rebuild_leaves_coverage_unknown(self, tmp_path, monkeypatch):
+        """A rebuild drops the old sidecar first: one that recorded a larger
+        t_max must not vouch for a cache written at a smaller one."""
+        seed_cache(60.0)
+        with open(tmp_path / "zeros.csv", "a") as fh:
+            fh.write("19.5\n")
+
+        def cut_off(path, zeros):
+            raise OSError("cut off")
+
+        monkeypatch.setattr(specfun, "write_zero_cache", cut_off)
+        assert run("--t-max", "20", "zeros") == cli.EXIT_USAGE
+        assert not (tmp_path / "zeros.csv.meta.json").exists()
 
     @pytest.mark.parametrize("sidecar", ['{"t_max": "x"}', "[1]"])
     def test_unreadable_sidecar_is_unknown_coverage(self, tmp_path, capsys, sidecar):
@@ -618,9 +646,9 @@ class TestCsvReports:
         assert all(b"\n" not in line and b"\r" not in line for line in lines)
 
     def test_bytes_are_the_csv_modules(self, tmp_path):
-        """_write_csv and write_zero_cache write the very bytes csv.writer
-        writes for the same rows: strings, floats, ints and bools need no
-        quoting, and every line ends in \\r\\n."""
+        """_csv_text, which renders every CSV report, and write_zero_cache give
+        the very text csv.writer writes for the same rows: strings, floats, ints
+        and bools need no quoting, and every line ends in \\r\\n."""
         header = ["L", "score", "ok", "order"]
         rows = [
             ["0.4445212230", "1.2500000000000000e-03", True, 0],
@@ -629,8 +657,7 @@ class TestCsvReports:
         ]
         expected = io.StringIO(newline="")
         csv.writer(expected).writerows([header, *rows])
-        cli._write_csv(tmp_path / "reports" / "rows.csv", header, (row for row in rows))
-        assert (tmp_path / "reports" / "rows.csv").read_bytes() == expected.getvalue().encode()
+        assert specfun._csv_text(header, (row for row in rows)) == expected.getvalue()
 
         # an ordinate is written as the repr of a Python float, a numpy scalar too
         zeros = [ZetaZero(np.float64(t) if i % 2 else t, 1 + i % 2, 1e-12 * (i + 1))
@@ -666,6 +693,24 @@ class TestCsvReports:
 class TestRunner:
     """main times each command and writes <command>_runtime.json from the
     exit code and entries the command returns."""
+
+    def test_only_main_writes_the_reports(self):
+        """In cli only main writes files, the reports and then the runtime file.
+        cmd_zeros alone makes the cache's directory and writes the cache and its
+        sidecar, through specfun."""
+        writes = {"write_text", "open", "mkdir", "write_zero_cache", "open_replacing"}
+        callers = set()
+        for top in ast.parse(Path(cli.__file__).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in writes:
+                        callers.add((getattr(top, "name", None), name))
+        assert callers == {
+            ("main", "mkdir"), ("main", "write_text"),
+            ("cmd_zeros", "mkdir"), ("cmd_zeros", "write_zero_cache"),
+            ("cmd_zeros", "open_replacing"),
+        }
 
     def runtime(self, tmp_path, command: str) -> dict:
         return json.loads((tmp_path / "reports" / f"{command}_runtime.json").read_text())

@@ -133,7 +133,7 @@ class TestDetect:
     def test_degenerate_family_rejected(self, family):
         # the floor fails inside the band, at the row n = -9 (s = -56.55)
         faint = linear_combination([family[0]], [1e-240])
-        with pytest.raises(FamilyDegenerateError):
+        with pytest.raises(FamilyDegenerateError, match=r"at s = -56\.5487$"):
             detect(1.0, [faint], t_max=60.0)
 
 
