@@ -99,8 +99,7 @@ def bench_commands(bench: Bench, work: Path) -> None:
         return call
 
     def drop_cache() -> None:
-        for path in (cache, cli._meta_path(cache)):
-            path.unlink(missing_ok=True)
+        cache.unlink(missing_ok=True)
 
     bench.time("cmd.zeros_60_cold", command("--t-max", "60", "zeros"), setup=drop_cache)
     bench.time("cmd.zeros_250_cold", command("--t-max", "250", "zeros"), setup=drop_cache)

@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 class MissingCacheError(FileNotFoundError):
-    """The zero cache is absent or too short for the requested range."""
+    """The zero cache is absent, damaged, or too short for the requested range."""
 
 
 @dataclass(frozen=True)
@@ -128,49 +128,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _meta_path(cache: Path) -> Path:
-    return cache.with_suffix(cache.suffix + ".meta.json")
-
-
-def _covered_t_max(cache: Path) -> float | None:
-    """The t_max a cache's sidecar records, or None (coverage unknown) when the
-    sidecar is missing or is not an object with a finite numeric t_max."""
-    try:
-        meta = json.loads(_meta_path(cache).read_text())
-    except (FileNotFoundError, ValueError):
-        return None
-    t_max = meta.get("t_max") if isinstance(meta, dict) else None
-    numeric = isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
-    return float(t_max) if numeric and math.isfinite(t_max) else None
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def load_zeros(cfg: RunConfig) -> list[ZetaZero]:
+    """The cached zeros at or below cfg.t_max. A cache that is absent, damaged
+    or covers less is a MissingCacheError; `zeros` rebuilds the last two."""
     cache = cfg.resolved_cache_path()
-    if not cache.exists():
+    try:
+        return specfun.read_zero_cache(cache, cfg.t_max)
+    except FileNotFoundError as exc:
         raise MissingCacheError(
             f"zero cache {cache} not found; run `zetacycles zeros` first"
-        )
-    covered = _covered_t_max(cache)
-    if covered is None:  # an interrupted `zeros`, or a damaged sidecar
-        raise MissingCacheError(
-            f"zero cache {cache} has no readable t_max in {_meta_path(cache).name};"
-            " rerun `zetacycles zeros`"
-        )
-    if covered < cfg.t_max:
-        raise MissingCacheError(
-            f"zero cache {cache} covers t <= {covered}, need"
-            f" {cfg.t_max}; rerun `zetacycles zeros`"
-        )
-    try:
-        zeros = specfun.read_zero_cache(cache)
-    except ValueError as exc:  # a damaged cache, which `zeros` rebuilds
+        ) from exc
+    except ValueError as exc:
         raise MissingCacheError(f"{exc}; rerun `zetacycles zeros`") from exc
-    # a cache built for a larger t_max holds more zeros, which no command at this t_max may read
-    return [z for z in zeros if z.ordinate <= cfg.t_max]
 
 
 # A command takes the config and the parsed arguments. It returns its exit code,
@@ -188,11 +161,7 @@ def cmd_zeros(cfg: RunConfig, args: argparse.Namespace) -> _Result:
     except MissingCacheError:
         zeros, reused = specfun.find_zeros(0.0, cfg.t_max), False
         cache.parent.mkdir(parents=True, exist_ok=True)
-        _meta_path(cache).unlink(missing_ok=True)  # coverage unknown until the new cache is whole
-        specfun.write_zero_cache(cache, zeros)
-        meta = {"t_max": cfg.t_max, "count": len(zeros)}
-        with specfun.open_replacing(_meta_path(cache)) as fh:  # the sidecar last, once the cache is whole
-            fh.write(_json_text(meta))
+        specfun.write_zero_cache(cache, zeros, cfg.t_max)
     report = {"command": "zeros", "cache": str(cache), "count": len(zeros), "reused": reused}
     return (EXIT_OK, {"zeros_report.json": _json_text(report)},
             {"max_abs_error": max((z.abs_error for z in zeros), default=0.0)})

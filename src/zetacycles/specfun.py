@@ -39,7 +39,6 @@ __all__ = [
     "finite_difference_weights",
     "gamma_complex",
     "log_gamma",
-    "open_replacing",
     "read_zero_cache",
     "riemann_siegel_Z",
     "rotate_to_Z",
@@ -472,11 +471,12 @@ def zeta_jet(t0: float, order: int) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# Zero-cache persistence (CSV: ordinate,multiplicity,abs_error), replaced whole.
+# Zero-cache persistence, replaced whole. Each row of the CSV is one zero plus
+# the coverage: the t_max the list is complete up to, and its count of zeros.
 
 
 @contextmanager
-def open_replacing(path: str | Path) -> Iterator[TextIO]:
+def _open_replacing(path: str | Path) -> Iterator[TextIO]:
     """A text file beside path that is moved over path when the block exits,
     and removed if the block raises, so path never holds a partial write."""
     path = Path(path)
@@ -489,10 +489,6 @@ def open_replacing(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def _strictly_increasing(zeros: list[ZetaZero]) -> bool:
-    return all(a.ordinate < b.ordinate for a, b in zip(zeros, zeros[1:]))
-
-
 def _csv_text(header: list[str], rows) -> str:
     """The text csv.writer would write for the header and rows: every field is
     a number, a bool or a plain word, so none needs quoting; lines end in \\r\\n.
@@ -500,29 +496,63 @@ def _csv_text(header: list[str], rows) -> str:
     return "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
 
 
-def write_zero_cache(path: str | Path, zeros: list[ZetaZero]) -> None:
-    if not _strictly_increasing(zeros):
+_CACHE_HEADER = ["ordinate", "multiplicity", "abs_error", "t_max", "count"]
+
+
+def write_zero_cache(path: str | Path, zeros: list[ZetaZero], t_max: float) -> None:
+    """Write zeros, every zero in (0, t_max], to path. Each row carries t_max
+    and the count; a range without zeros is the one row `,,,<t_max>,0`."""
+    if not all(a.ordinate < b.ordinate for a, b in zip(zeros, zeros[1:])):
         raise ValueError("zero ordinates must be strictly increasing")
-    # an ordinate's repr round-trips exactly (float(): numpy 2 reprs np.float64(...))
-    rows = ([repr(float(z.ordinate)), z.multiplicity, f"{z.abs_error:.6e}"] for z in zeros)
-    with open_replacing(path) as fh:
-        fh.write(_csv_text(["ordinate", "multiplicity", "abs_error"], rows))
+    if not 0.0 < t_max < math.inf or (zeros and zeros[-1].ordinate > t_max):
+        raise ValueError(f"t_max = {t_max} must be finite and at least every ordinate")
+    # repr round-trips a float exactly (float(): numpy 2 reprs np.float64(...))
+    coverage = [repr(float(t_max)), len(zeros)]
+    rows = ([repr(float(z.ordinate)), z.multiplicity, f"{z.abs_error:.6e}", *coverage]
+            for z in zeros) if zeros else [["", "", "", *coverage]]
+    with _open_replacing(path) as fh:
+        fh.write(_csv_text(_CACHE_HEADER, rows))
 
 
-def read_zero_cache(path: str | Path) -> list[ZetaZero]:
+def read_zero_cache(path: str | Path, t_max: float | None = None) -> list[ZetaZero]:
+    """The zeros of a cache that write_zero_cache wrote; given t_max, those at
+    or below it, and a ValueError naming the covered t_max if that is smaller.
+    A cache whose header, fields, coverage, order or row count is off is
+    damaged: a ValueError naming the file and, but for the row count, the line."""
     zeros: list[ZetaZero] = []
+    rows, last = 0, 0.0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["ordinate", "multiplicity", "abs_error"]:
-            raise ValueError(f"unexpected zero-cache header in {path}: {header}")
-        for row in reader:
-            try:
-                if len(row) != 3:
-                    raise ValueError("expected 3 fields")
-                zeros.append(ZetaZero(float(row[0]), int(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ValueError(f"zero cache {path}, line {reader.line_num}: {exc}") from exc
-    if not _strictly_increasing(zeros):
-        raise ValueError(f"zero cache {path} is not strictly increasing")
-    return zeros
+        try:
+            if (header := next(reader, None)) != _CACHE_HEADER:
+                raise ValueError(f"unexpected zero-cache header {header}")
+            for rows, row in enumerate(reader, start=1):
+                if len(row) != 5:
+                    raise ValueError("expected 5 fields")
+                if rows == 1:
+                    covered_text, count_text = row[3], row[4]
+                    covered, count = float(covered_text), int(count_text)
+                    if not 0.0 < covered < math.inf:
+                        raise ValueError("t_max must be positive and finite")
+                elif row[3] != covered_text or row[4] != count_text:
+                    raise ValueError(f"t_max,count {row[3]},{row[4]} differ from line 2's")
+                if row[0] == row[1] == row[2] == "":  # the row of a range without zeros
+                    continue
+                zero = ZetaZero(float(row[0]), int(row[1]), float(row[2]))
+                if zero.ordinate > covered:
+                    raise ValueError(f"ordinate {row[0]} above t_max {row[3]}")
+                if zero.ordinate <= last:
+                    raise ValueError("ordinates not strictly increasing")
+                last = zero.ordinate
+                zeros.append(zero)
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field past csv's size limit
+            raise ValueError(f"zero cache {path}, line {reader.line_num}: {exc}") from exc
+    if rows == 0:
+        raise ValueError(f"zero cache {path} has no rows")
+    if len(zeros) != count or rows != max(count, 1):
+        raise ValueError(f"zero cache {path} holds {len(zeros)} zeros in {rows} rows,"
+                         f" but its count is {count}")
+    t_max = covered if t_max is None else t_max
+    if covered < t_max:
+        raise ValueError(f"zero cache {path} covers t <= {covered}, need {t_max}")
+    return [z for z in zeros if z.ordinate <= t_max]

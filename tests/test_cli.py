@@ -39,6 +39,11 @@ def seed_cache(t_max: float = 20.0) -> None:
     assert run("--t-max", str(t_max), "zeros") == cli.EXIT_OK
 
 
+def cache_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_import_loads_only_scipy_special():
     """Importing the package and its CLI leaves scipy's root finders and
     interpolators unloaded; each costs megabytes of resident memory."""
@@ -205,11 +210,12 @@ class TestLibraryErrors:
 
 class TestZeros:
     def test_cache_and_report(self, tmp_path):
+        """One file: its rows carry the covered t_max and the count, and no
+        sidecar is written."""
         seed_cache(20.0)
-        cache = tmp_path / "zeros.csv"
-        assert cache.exists()
-        meta = json.loads((tmp_path / "zeros.csv.meta.json").read_text())
-        assert meta == {"t_max": 20.0, "count": 1}
+        rows = cache_rows(tmp_path / "zeros.csv")
+        assert [(r["t_max"], r["count"]) for r in rows] == [("20.0", "1")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reports", "zeros.csv"]
         report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
         assert report["count"] == 1
         assert report["reused"] is False
@@ -225,9 +231,10 @@ class TestZeros:
     def test_wider_range_recomputes(self, tmp_path):
         seed_cache(20.0)
         seed_cache(25.0)
-        meta = json.loads((tmp_path / "zeros.csv.meta.json").read_text())
-        assert meta["t_max"] == 25.0
-        assert meta["count"] == 2
+        rows = cache_rows(tmp_path / "zeros.csv")
+        assert [(r["t_max"], r["count"]) for r in rows] == [("25.0", "2")] * 2
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report["reused"] is False
 
     def test_runtime_records_the_largest_abs_error(self, tmp_path):
         """zeros_runtime.json carries max_abs_error, fresh and on reuse (read
@@ -246,9 +253,16 @@ class TestZeros:
         assert report == {"command": "zeros", "cache": "zeros.csv", "count": 13, "reused": True}
 
     def test_empty_range_still_writes_cache(self, tmp_path):
+        """A range without zeros is the one row `,,,<t_max>,0`, which the
+        readers accept as an empty list."""
         seed_cache(5.0)
         report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
         assert report["count"] == 0
+        assert (tmp_path / "zeros.csv").read_bytes().endswith(b"\r\n,,,5.0,0\r\n")
+        assert run("--t-max", "5", "detect", "1.0") == cli.EXIT_OK
+        seed_cache(5.0)
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report["reused"] is True
 
 
 class TestCacheGate:
@@ -256,13 +270,53 @@ class TestCacheGate:
         assert run("--t-max", "20", "scan") == cli.EXIT_USAGE
         assert "run `zetacycles zeros` first" in capsys.readouterr().err
 
-    def test_cache_without_sidecar_rejected(self, tmp_path, capsys):
-        # a `zeros` run cut off between the cache and its sidecar: coverage unknown
+    def test_cache_without_coverage_rejected(self, tmp_path, capsys):
+        """A cache cut to its header has no row to record its coverage."""
         seed_cache(20.0)
-        (tmp_path / "zeros.csv.meta.json").unlink()
+        cache = tmp_path / "zeros.csv"
+        cache.write_bytes(cache.read_bytes().split(b"\r\n")[0] + b"\r\n")
         assert run("--t-max", "20", "detect", repr(L_STAR)) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "zeros.csv.meta.json" in err and err.count("\n") == 1
+        assert err == "error: zero cache zeros.csv has no rows; rerun `zetacycles zeros`\n"
+
+    def test_lost_row_rejected_and_rebuilt(self, tmp_path, capsys):
+        """A cache that lost its last row, t_13 = 59.347, holds fewer zeros
+        than its count: the readers exit 2, where detect once matched n = +-1
+        at s = 59.347 to t_12, and `zeros` rebuilds it."""
+        seed_cache(60.0)
+        cache = tmp_path / "zeros.csv"
+        whole = cache.read_bytes()
+        cache.write_bytes(whole[: whole.rstrip(b"\r\n").rindex(b"\r\n") + 2])
+        for argv in (["laplacian"], ["detect", "0.10587197604"]):
+            assert run("--t-max", "60", *argv) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "holds 12 zeros in 12 rows, but its count is 13" in err
+            assert err.endswith("; rerun `zetacycles zeros`\n") and err.count("\n") == 1
+        seed_cache(60.0)
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report["reused"] is False and report["count"] == 13
+        assert cache.read_bytes() == whole
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["alone", "with_sidecar"])
+    def test_three_column_cache_rebuilt(self, tmp_path, capsys, sidecar):
+        """A cache in the old format, ordinate,multiplicity,abs_error with its
+        coverage in zeros.csv.meta.json, is rejected whether or not that file
+        is there, and `zeros` rebuilds it; the sidecar is no longer read."""
+        cache = tmp_path / "zeros.csv"
+        cache.write_text("ordinate,multiplicity,abs_error\r\n"
+                         "14.134725141734688,1,6.521683e-13\r\n", newline="")
+        if sidecar:
+            (tmp_path / "zeros.csv.meta.json").write_text('{"count": 1, "t_max": 20.0}\n')
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero cache zeros.csv, line 1: unexpected zero-cache header")
+        assert err.endswith("; rerun `zetacycles zeros`\n") and err.count("\n") == 1
+        seed_cache(20.0)
+        report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
+        assert report["reused"] is False and report["count"] == 1
+        assert list(cache_rows(cache)[0]) == ["ordinate", "multiplicity", "abs_error",
+                                              "t_max", "count"]
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_OK
 
     def test_stale_cache_rejected(self, capsys):
         seed_cache(20.0)
@@ -275,13 +329,13 @@ class TestCacheGate:
             fh.write("19.5\n")
         assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "zeros.csv, line 3: expected 3 fields" in err and err.count("\n") == 1
+        assert "zeros.csv, line 3: expected 5 fields" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("row,reason", [
-        ("x,1,1e-9", "could not convert string to float: 'x'"),
-        ("30.0,0,1e-9", "multiplicity must be a positive integer"),
-        ("inf,1,1e-9", "ordinate must be positive and finite"),
-        ("30.0,1,nan", "abs_error must be nonnegative and finite"),
+        ("x,1,1e-9,20.0,1", "could not convert string to float: 'x'"),
+        ("30.0,0,1e-9,20.0,1", "multiplicity must be a positive integer"),
+        ("inf,1,1e-9,20.0,1", "ordinate must be positive and finite"),
+        ("30.0,1,nan,20.0,1", "abs_error must be nonnegative and finite"),
     ], ids=["non_numeric", "zero_multiplicity", "infinite_ordinate", "nan_abs_error"])
     def test_malformed_row_names_the_file_and_line(self, tmp_path, capsys, row, reason):
         seed_cache(20.0)
@@ -291,7 +345,8 @@ class TestCacheGate:
         err = capsys.readouterr().err
         assert f"zeros.csv, line 3: {reason}" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["19.5\n", "x,1,1e-9\n"], ids=["short_row", "non_numeric"])
+    @pytest.mark.parametrize("damage", ["19.5\n", "x,1,1e-9,20.0,1\n", "x" * 200_000 + "\n"],
+                             ids=["short_row", "non_numeric", "oversized_field"])
     def test_zeros_rebuilds_a_damaged_cache(self, tmp_path, capsys, damage):
         """A cache the readers reject names the rerun, and `zeros` rebuilds it."""
         seed_cache(20.0)
@@ -304,34 +359,42 @@ class TestCacheGate:
         assert report["reused"] is False and report["count"] == 1
         assert run("--t-max", "20", "laplacian") == cli.EXIT_OK
 
-    def test_cut_off_rebuild_leaves_coverage_unknown(self, tmp_path, monkeypatch):
-        """A rebuild drops the old sidecar first: one that recorded a larger
-        t_max must not vouch for a cache written at a smaller one."""
-        seed_cache(60.0)
-        with open(tmp_path / "zeros.csv", "a") as fh:
-            fh.write("19.5\n")
+    def test_cut_off_rebuild_leaves_the_previous_cache_whole(self, tmp_path, monkeypatch):
+        """A rebuild cut off before its file is moved into place leaves the
+        previous cache byte for byte, and no temporary file."""
+        seed_cache(20.0)
+        before = (tmp_path / "zeros.csv").read_bytes()
 
-        def cut_off(path, zeros):
+        def cut_off(src, dst):
             raise OSError("cut off")
 
-        monkeypatch.setattr(specfun, "write_zero_cache", cut_off)
-        assert run("--t-max", "20", "zeros") == cli.EXIT_USAGE
-        assert not (tmp_path / "zeros.csv.meta.json").exists()
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun.os, "replace", cut_off)
+            assert run("--t-max", "25", "zeros") == cli.EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reports", "zeros.csv"]
+        assert (tmp_path / "zeros.csv").read_bytes() == before
+        assert run("--t-max", "20", "laplacian") == cli.EXIT_OK
 
-    @pytest.mark.parametrize("sidecar", ['{"t_max": "x"}', "[1]"])
-    def test_unreadable_sidecar_is_unknown_coverage(self, tmp_path, capsys, sidecar):
-        """A sidecar that is not an object with a numeric t_max: the readers
-        exit 2 with one line, and `zeros` recomputes the cache."""
-        seed_cache(20.0)
-        meta_file = tmp_path / "zeros.csv.meta.json"
-        meta_file.write_text(sidecar)
-        assert run("--t-max", "20", "laplacian") == cli.EXIT_USAGE
+    @pytest.mark.parametrize("field,value", [("t_max", "26.0"), ("count", "3")],
+                             ids=["t_max", "count"])
+    def test_disagreeing_coverage_is_damage(self, tmp_path, capsys, field, value):
+        """Rows whose t_max or count differ from the first row's: the readers
+        exit 2 with one line naming the row, and `zeros` recomputes the cache."""
+        seed_cache(25.0)
+        cache = tmp_path / "zeros.csv"
+        rows = cache_rows(cache)
+        rows[1][field] = value
+        lines = ["ordinate,multiplicity,abs_error,t_max,count"]
+        lines += [",".join(r.values()) for r in rows]
+        cache.write_text("\r\n".join(lines) + "\r\n", newline="")
+        assert run("--t-max", "25", "laplacian") == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "zeros.csv.meta.json" in err and err.count("\n") == 1
-        assert run("--t-max", "20", "zeros") == cli.EXIT_OK
-        assert json.loads(meta_file.read_text()) == {"t_max": 20.0, "count": 1}
+        assert "zeros.csv, line 3: t_max,count" in err and "differ from line 2's" in err
+        assert err.count("\n") == 1
+        seed_cache(25.0)
         report = json.loads((tmp_path / "reports" / "zeros_report.json").read_text())
         assert report["reused"] is False
+        assert [(r["t_max"], r["count"]) for r in cache_rows(cache)] == [("25.0", "2")] * 2
 
     def test_past_validated_range_names_the_limit(self, capsys):
         # rerunning `zeros` cannot cover t_max = 300, so the message must not suggest it
@@ -502,8 +565,8 @@ class TestScan:
         finds no listed zero, and scan exits 2 naming that row."""
         seed_cache(60.0)
         cache = tmp_path / "zeros.csv"
-        lines = cache.read_text().splitlines(keepends=True)
-        cache.write_text("".join(lines[:4] + lines[5:]))
+        zeros = specfun.read_zero_cache(cache)
+        specfun.write_zero_cache(cache, zeros[:3] + zeros[4:], 60.0)
         assert run("--L-window", "0.40,0.46", "scan") == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: AccuracyError: row n = 2: the bracket")
@@ -659,16 +722,25 @@ class TestCsvReports:
         csv.writer(expected).writerows([header, *rows])
         assert specfun._csv_text(header, (row for row in rows)) == expected.getvalue()
 
-        # an ordinate is written as the repr of a Python float, a numpy scalar too
+        # an ordinate and t_max are written as the repr of a Python float, from
+        # a numpy scalar too, and every row carries t_max and the count
         zeros = [ZetaZero(np.float64(t) if i % 2 else t, 1 + i % 2, 1e-12 * (i + 1))
                  for i, t in enumerate(ZERO_ORDINATES)]
+        t_max = ZERO_ORDINATES[-1] + 0.1
+        cache_header = ["ordinate", "multiplicity", "abs_error", "t_max", "count"]
         expected = io.StringIO(newline="")
         csv.writer(expected).writerows(
-            [["ordinate", "multiplicity", "abs_error"],
-             *([repr(t), z.multiplicity, f"{z.abs_error:.6e}"]
+            [cache_header,
+             *([repr(t), z.multiplicity, f"{z.abs_error:.6e}", repr(t_max), len(zeros)]
                for t, z in zip(ZERO_ORDINATES, zeros))]
         )
-        specfun.write_zero_cache(tmp_path / "zeros.csv", zeros)
+        specfun.write_zero_cache(tmp_path / "zeros.csv", zeros, np.float64(t_max))
+        assert (tmp_path / "zeros.csv").read_bytes() == expected.getvalue().encode()
+
+        # a range without zeros: one row of empty zero fields
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([cache_header, ["", "", "", "5.0", 0]])
+        specfun.write_zero_cache(tmp_path / "zeros.csv", [], 5.0)
         assert (tmp_path / "zeros.csv").read_bytes() == expected.getvalue().encode()
 
     def test_jet_rows(self, tmp_path):
@@ -696,9 +768,9 @@ class TestRunner:
 
     def test_only_main_writes_the_reports(self):
         """In cli only main writes files, the reports and then the runtime file.
-        cmd_zeros alone makes the cache's directory and writes the cache and its
-        sidecar, through specfun."""
-        writes = {"write_text", "open", "mkdir", "write_zero_cache", "open_replacing"}
+        cmd_zeros alone makes the cache's directory and writes the cache, the
+        one file it writes, through specfun."""
+        writes = {"write_text", "open", "mkdir", "write_zero_cache", "_open_replacing"}
         callers = set()
         for top in ast.parse(Path(cli.__file__).read_text()).body:
             for node in ast.walk(top):
@@ -709,7 +781,6 @@ class TestRunner:
         assert callers == {
             ("main", "mkdir"), ("main", "write_text"),
             ("cmd_zeros", "mkdir"), ("cmd_zeros", "write_zero_cache"),
-            ("cmd_zeros", "open_replacing"),
         }
 
     def runtime(self, tmp_path, command: str) -> dict:

@@ -271,19 +271,33 @@ class TestFindZeros:
         """Ordinates come back bit for bit, so a locus 2 pi / t_k computed
         from the cache is the one computed from the zeros that wrote it."""
         path = tmp_path / "zeros.csv"
-        write_zero_cache(path, zeros60)
+        write_zero_cache(path, zeros60, 60.0)
         back = read_zero_cache(path)
         assert [z.ordinate for z in back] == [z.ordinate for z in zeros60]
         assert [z.multiplicity for z in back] == [z.multiplicity for z in zeros60]
+        write_zero_cache(path, [], 10.0)
+        assert read_zero_cache(path) == read_zero_cache(path, 10.0) == []
+
+    def test_read_to_a_t_max(self, tmp_path, zeros60):
+        """Given t_max, the reader returns the zeros at or below it, and
+        rejects a cache that covers less, naming what it covers."""
+        path = tmp_path / "zeros.csv"
+        write_zero_cache(path, zeros60, 60.0)
+        assert read_zero_cache(path, 60.0) == read_zero_cache(path)
+        below = [z.ordinate for z in zeros60 if z.ordinate <= 30.0]
+        assert [z.ordinate for z in read_zero_cache(path, 30.0)] == below
+        assert len(below) == 3
+        with pytest.raises(ValueError, match=r"covers t <= 60.0, need 60.5$"):
+            read_zero_cache(path, 60.5)
 
     def test_interrupted_write_keeps_previous_cache(self, tmp_path, zeros60):
         path = tmp_path / "zeros.csv"
-        write_zero_cache(path, zeros60)
+        write_zero_cache(path, zeros60, 60.0)
         before = path.read_bytes()
         # the second row fails to format after the header and first row are written
         broken = [zeros60[0], SimpleNamespace(ordinate=99.0, multiplicity=1, abs_error="x")]
         with pytest.raises(ValueError):
-            write_zero_cache(path, broken)
+            write_zero_cache(path, broken, 100.0)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["zeros.csv"]
 
@@ -295,17 +309,43 @@ class TestFindZeros:
 
     def test_write_rejects_decreasing_zeros_and_writes_nothing(self, tmp_path, zeros60):
         with pytest.raises(ValueError, match="strictly increasing"):
-            write_zero_cache(tmp_path / "zeros.csv", zeros60[::-1])
+            write_zero_cache(tmp_path / "zeros.csv", zeros60[::-1], 60.0)
+        for t_max in (59.0, math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="at least every ordinate"):
+                write_zero_cache(tmp_path / "zeros.csv", zeros60, t_max)
         assert list(tmp_path.iterdir()) == []
 
     def test_cache_rejects_unsorted(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
-            "ordinate,multiplicity,abs_error\n"
-            "21.0,1,1e-9\n"
-            "14.1,1,1e-9\n"
+            "ordinate,multiplicity,abs_error,t_max,count\n"
+            "21.0,1,1e-9,30.0,2\n"
+            "14.1,1,1e-9,30.0,2\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 3: ordinates not strictly increasing"):
+            read_zero_cache(path)
+
+    @pytest.mark.parametrize("rows,reason", [
+        ("14.1,1,1e-9,30.0,2\n", "holds 1 zeros in 1 rows, but its count is 2"),
+        ("14.1,1,1e-9,30.0,0\n", "holds 1 zeros in 1 rows, but its count is 0"),
+        (",,,30.0,1\n", "holds 0 zeros in 1 rows, but its count is 1"),
+        (",,,30.0,0\n,,,30.0,0\n", "holds 0 zeros in 2 rows, but its count is 0"),
+        ("14.1,1,1e-9,30.0,1\n,,,30.0,1\n", "holds 1 zeros in 2 rows, but its count is 1"),
+        ("", "has no rows"),
+        ("31.0,1,1e-9,30.0,1\n", "line 2: ordinate 31.0 above t_max 30.0"),
+        ("14.1,1,1e-9,inf,1\n", "line 2: t_max must be positive and finite"),
+        ("14.1,1,1e-9,nan,1\n", "line 2: t_max must be positive and finite"),
+        ("14.1,1,1e-9,30.0,2\n21.0,1,1e-9,30,2\n", "line 3: t_max,count 30,2 differ"),
+        ("14.1,1,1e-9,30.0,x\n", "line 2: invalid literal for int"),
+    ], ids=["rows_lost", "count_short", "empty_row_with_a_count", "two_empty_rows",
+            "empty_row_among_zeros", "header_only", "above_t_max", "infinite_t_max",
+            "nan_t_max", "coverage_differs", "non_numeric_count"])
+    def test_cache_rejects_inconsistent_coverage(self, tmp_path, rows, reason):
+        """Each row's t_max and count must agree, the count must be the
+        zeros read, and no ordinate may lie above t_max."""
+        path = tmp_path / "bad.csv"
+        path.write_text("ordinate,multiplicity,abs_error,t_max,count\n" + rows)
+        with pytest.raises(ValueError, match=f"zero cache {path}.*{reason}"):
             read_zero_cache(path)
 
 
