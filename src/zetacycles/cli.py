@@ -258,11 +258,8 @@ def cmd_laplacian(cfg: RunConfig, args: argparse.Namespace) -> _Result:
 
 
 def cmd_jets(cfg: RunConfig, args: argparse.Namespace) -> _Result:
-    path = Path(args.section)
-    if not path.exists():
-        raise MissingCacheError(f"section file {path} not found")
-    zeros = load_zeros(cfg)
-    jets = sheaf.quotient_jets(sheaf.read_section(path), zeros)
+    section = sheaf.read_section(args.section)
+    jets = sheaf.quotient_jets(section, load_zeros(cfg))
     rows = (
         [f"{e.ordinate:.14f}", f"{e.location:.14f}", slot, order,
          f"{v.real:.16e}", f"{v.imag:.16e}"]

@@ -80,7 +80,10 @@ class TestFunction:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(tuple(float(c) for c in self.coeffs)))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs or not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"coeffs must be finite and at least one, got {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     @cached_property
     def decay(self) -> tuple[float, float]:
@@ -241,7 +244,9 @@ def mellin_psi(f: TestFunction, z: complex, method: str = "closed") -> tuple[com
 
     closed is one Gamma factor times a polynomial in f's coefficients. quadrature, the
     independent route, is composite 16-point Gauss-Legendre on the log axis
-    with panel-halving as the error estimate.
+    with panel-halving as the error estimate. Neither estimate is a certified
+    bound like those of eval_E and zeta_critical_many: closed reports a fixed
+    1e-13 (1 + |psi|), and quadrature the change from halving its panels.
     """
     z = complex(z)
     if not cmath.isfinite(z):

@@ -40,10 +40,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_MIN_GRID_POINTS = 8
 _GRID_L_MAX = 4.0  # longest circle of the section grid
 _GRID_PER_DECADE = 64  # geometric points per decade of L
-_JET_EXTRA_NODES = 9
+_JET_EXTRA_NODES = 9  # nodes of a read; a jet through order m takes m more
 _JET_SCORE_TOL = 1e-3  # a jet scoring above it witnesses non-vanishing
 
 
@@ -81,8 +80,8 @@ class GlobalSection:
 
     vanishing_order_at_zero certifies |f(L)| <= C L^k near the left end of
     the grid; order >= 1 licenses extension by zero below the grid. On and
-    between grid points a slot is read through the same local stencil as its
-    jets, which at a node gives back the node's sample.
+    between grid points both slots are read through one local stencil, the
+    one their jets use, which at a node gives back the node's samples.
     """
 
     grid: np.ndarray
@@ -97,33 +96,33 @@ class GlobalSection:
         if self.vanishing_order_at_zero < 0:
             raise ValueError("vanishing_order_at_zero must be nonnegative")
 
-    def _eval(self, values: np.ndarray, L: float) -> complex:
+    def _read(self, L: float) -> tuple[complex, complex]:
         if L < self.grid[0] * (1.0 - 1e-12):
             if self.vanishing_order_at_zero >= 1:
-                return 0.0 + 0.0j
+                return 0j, 0j
             raise UnderResolvedGridError(
                 f"point {L} below grid start {self.grid[0]} and no vanishing"
                 " certificate to extend by zero"
             )
-        return _jet(_stencil(self.grid, L, 0), values)[0]
+        stencil = _stencil(self.grid, L, 0)
+        return _jet(stencil, self.f_plus)[0], _jet(stencil, self.f_minus)[0]
 
     def eval_plus(self, L: float) -> complex:
-        return self._eval(self.f_plus, L)
+        return self._read(L)[0]
 
     def eval_minus(self, L: float) -> complex:
-        return self._eval(self.f_minus, L)
+        return self._read(L)[1]
 
 
 def make_section(
     fn_plus: Callable[[float], complex],
     fn_minus: Callable[[float], complex],
     grid: np.ndarray,
-    vanishing_order_at_zero: int = 6,
 ) -> GlobalSection:
     grid = _as_grid(grid)
     plus = np.array([complex(fn_plus(L)) for L in grid])
     minus = np.array([complex(fn_minus(L)) for L in grid])
-    return GlobalSection(grid, plus, minus, vanishing_order_at_zero)
+    return GlobalSection(grid, plus, minus)
 
 
 def build_section_grid(t_max: float, zeros: Sequence[ZetaZero]) -> np.ndarray:
@@ -132,14 +131,15 @@ def build_section_grid(t_max: float, zeros: Sequence[ZetaZero]) -> np.ndarray:
     Each locus L_k = 2 pi / t_k enters together with its integer multiples
     up to 4 L_k (capped at _GRID_L_MAX) so that covering comparisons stay
     on-grid. Geometric points closer than 1e-6 L to an inserted locus are
-    dropped so local difference stencils never see near-duplicate nodes.
+    dropped so local difference stencils never see near-duplicate nodes. The
+    grid holds at least the _JET_EXTRA_NODES nodes of one read.
     """
     _positive("t_max", t_max)
     L_min, L_max = _TWO_PI / t_max, _GRID_L_MAX
     if L_min >= L_max:
         raise ValueError(f"grid range is empty; raise t_max above 2 pi / {L_max:g}")
     count = int(math.ceil(_GRID_PER_DECADE * math.log10(L_max / L_min))) + 1
-    base = np.geomspace(L_min, L_max, max(count, _MIN_GRID_POINTS))
+    base = np.geomspace(L_min, L_max, max(count, _JET_EXTRA_NODES))
     loci = _TWO_PI / np.array([z.ordinate for z in zeros], dtype=np.float64)
     exact = np.unique(np.outer(np.arange(1, 5), loci))
     exact = exact[(L_min <= exact) & (exact <= L_max)]
@@ -181,17 +181,12 @@ def circle_at(section: GlobalSection, L: float, N: int) -> CircleFunction:
     L = _positive("circle length L", L)
     _count("mode count N", N)
     w = 1.0 / np.sqrt(np.arange(1, N + 1))
-    plus = [section.eval_plus(L / n) for n in range(1, N + 1)]
-    minus = [section.eval_minus(L / n) for n in range(1, N + 1)]
+    plus, minus = np.array([section._read(L / n) for n in range(1, N + 1)]).T
     return CircleFunction(L, np.concatenate([(w * minus)[::-1], [0.0], w * plus]))
 
 
 def gamma_inverse(section: GlobalSection, N: int) -> list[CircleFunction]:
     """One reconstructed circle function per grid point."""
-    if section.grid.size < _MIN_GRID_POINTS:
-        raise UnderResolvedGridError(
-            f"need at least {_MIN_GRID_POINTS} grid points, got {section.grid.size}"
-        )
     return [circle_at(section, float(L), N) for L in section.grid]
 
 
@@ -239,16 +234,17 @@ class IdealGenerator:
         for L_k, m_k in self.zeros:
             _positive("zero location", L_k)
             _count("zero order", m_k)
-        # order-m vanishing: no jet through m-1 scores above _JET_SCORE_TOL, on
-        # nodes at and above each L_k, so that a zeta generator reads
-        # t = 2 pi / L at or below its zeros; one evaluator call samples
-        # every zero's nodes
-        nodes = [L_k * (1.0 + 1e-3 * np.arange(m_k - 1 + _JET_EXTRA_NODES))
-                 for L_k, m_k in self.zeros]
-        samples = np.asarray(self.evaluator(np.concatenate(nodes)))
-        ends = np.cumsum([x.size for x in nodes])
-        for (L_k, m_k), x, y in zip(self.zeros, nodes, np.split(samples, ends[:-1])):
-            if _witnesses(x, y, L_k, m_k, _JET_SCORE_TOL):
+        # order-m vanishing: no jet through m-1 scores above _JET_SCORE_TOL on
+        # nodes L_k x, x = 1 + 1e-3 j, at and above L_k, so a zeta generator
+        # reads t = 2 pi / L at or below its zeros; the score does not depend
+        # on L_k, so one stencil at x = 1 serves every zero of an order
+        orders = {m_k for _, m_k in self.zeros}
+        x = 1.0 + 1e-3 * np.arange(max(orders) - 1 + _JET_EXTRA_NODES)
+        nodes = np.outer([L_k for L_k, _ in self.zeros], x)
+        samples = np.asarray(self.evaluator(nodes.ravel())).reshape(nodes.shape)
+        stencils = {m: _stencil(x, 1.0, m - 1) for m in orders}
+        for (L_k, m_k), y in zip(self.zeros, samples):
+            if _witnesses(x, y, 1.0, stencils[m_k]):
                 raise ValueError(f"evaluator does not vanish to order {m_k} at {L_k}")
 
 
@@ -292,11 +288,10 @@ def ideal_membership(
     grid: Sequence[float],
     values: Sequence[complex],
     g: IdealGenerator,
-    tol: float = _JET_SCORE_TOL,
 ) -> tuple[bool, list[JetWitness]]:
     """Whitney-style membership of the function sampled as values on grid:
-    its jets through order m_k - 1 vanish. The grid and samples meet the
-    checks of GlobalSection.
+    no jet through order m_k - 1 scores above _JET_SCORE_TOL, the generator
+    check's rule. The grid and samples meet the checks of GlobalSection.
 
     Scores are dimensionless: |jet_j| spread^j / (j! local_scale), so a
     function of order-1 magnitude that fails to vanish scores near 1 while
@@ -304,25 +299,24 @@ def ideal_membership(
     """
     grid = _as_grid(grid)
     values = _as_samples(values, grid, "values")
-    _positive("tol", tol)
-    witnesses = [w for L_k, m_k in g.zeros for w in _witnesses(grid, values, L_k, m_k, tol)]
+    witnesses = [w for L_k, m_k in g.zeros
+                 for w in _witnesses(grid, values, L_k, _stencil(grid, L_k, m_k - 1))]
     return (not witnesses), witnesses
 
 
 def _witnesses(
-    grid: np.ndarray, values: np.ndarray, L_k: float, m_k: int, tol: float
+    grid: np.ndarray, values: np.ndarray, x0: float, stencil: tuple[np.ndarray, np.ndarray]
 ) -> list[JetWitness]:
-    """The jets of values at L_k through order m_k - 1, on the stencil of the
-    grid points nearest L_k, whose score exceeds tol."""
-    stencil = _stencil(grid, L_k, m_k - 1)
+    """The jets of values at x0, on a stencil at x0 over grid, whose score
+    exceeds _JET_SCORE_TOL."""
     idx = stencil[0]
-    spread = float(np.median(np.abs(grid[idx] - L_k)))
+    spread = float(np.median(np.abs(grid[idx] - x0)))
     local_scale = max(float(np.max(np.abs(values[idx]))), 1e-300)
     witnesses = []
     for j, jet in enumerate(_jet(stencil, values)):
         score = abs(jet) * spread**j / (math.factorial(j) * local_scale)
-        if score > tol:
-            witnesses.append(JetWitness(L_k, j, jet, score))
+        if score > _JET_SCORE_TOL:
+            witnesses.append(JetWitness(x0, j, jet, score))
     return witnesses
 
 

@@ -671,9 +671,13 @@ class TestJets:
         assert not (tmp_path / "reports" / "jets.csv").exists()
 
     def test_missing_section_file(self, capsys):
+        """A section file that is not there is an OSError, which main turns
+        into exit 2 and one line naming the file."""
         seed_cache(20.0)
         assert run("--t-max", "20", "jets", "absent.json") == cli.EXIT_USAGE
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "absent.json" in err
 
 
 class TestCsvReports:

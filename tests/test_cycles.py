@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracle_frozen import ZERO_ORDINATES
 from zetacycles import cycles
@@ -57,6 +59,11 @@ def match_one_to_one(dips, predicted: dict[tuple[int, int], float], tol: float) 
 @pytest.fixture(scope="module")
 def zeros20(zeros60):
     return [z for z in zeros60 if z.ordinate <= 20.0]
+
+
+@pytest.fixture(scope="module")
+def zeros250():
+    return find_zeros(0.0, 250.0)
 
 
 class TestDetect:
@@ -250,6 +257,34 @@ class TestScan:
         assert {(16, 108), (17, 108)} <= set(predicted)
         assert max(dip.s for dip in result.dips) <= 250.0
         assert result.runtime_stats["edge_points"] == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(L_min=st.floats(0.3, 3.0), width=st.floats(1e-3, 0.3), u=st.floats(0.0, 1.0))
+    def test_dips_are_the_cycles_of_the_zero_list(self, family, zeros250, L_min, width, u):
+        """Where one L step moves each row's frequency by less than a quarter
+        of the smallest gap of the zeros up to the first one above t_max, the
+        dips are the pairs (n, k) with L_min <= 2 pi n / t_k <= L_max and
+        t_k <= t_max, enumerated from the zero list alone. A cycle within 1e-9
+        relative of a window end is left out on both sides: one exactly at
+        L_min lies in no bracket, by _sign_changes' rule."""
+        L_max = L_min * (1.0 + width)
+        t_low = max(15.0, 2.0 * math.pi / L_min)  # row 1 at L_min reaches t_max
+        t_max = t_low + u * (250.0 - t_low)
+        ordinates = [z.ordinate for z in zeros250]
+        count = sum(t <= t_max for t in ordinates)
+        step = 0.25 * float(np.min(np.diff(ordinates[:count + 1]))) * L_min / t_max
+        result = scan(L_min, L_max, step, family, t_max=t_max, zeros=zeros250)
+
+        def away_from_the_ends(pairs):
+            return {(n, k) for n, k in pairs
+                    if abs(2.0 * math.pi * n / ordinates[k] / L_min - 1.0) > 1e-9
+                    and abs(2.0 * math.pi * n / ordinates[k] / L_max - 1.0) > 1e-9}
+
+        predicted = {(n, k) for k, t in enumerate(ordinates[:count])
+                     for n in range(1, math.floor(L_max * t / (2.0 * math.pi)) + 1)
+                     if L_min <= 2.0 * math.pi * n / t <= L_max}
+        found = away_from_the_ends((dip.n, dip.zero_index) for dip in result.dips)
+        assert found == away_from_the_ends(predicted)
 
     def test_zero_missing_from_the_list(self, family, zeros60):
         """Without t_4 = 30.42 in the list, the bracket of row 2 that holds it

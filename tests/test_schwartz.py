@@ -97,6 +97,14 @@ class TestFamilyConstruction:
         with pytest.raises(RepresentationError):
             apply_H(lambda x: x)
 
+    @pytest.mark.parametrize("coeffs", [(), (math.nan,), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_coefficients_must_be_finite_and_at_least_one(self, coeffs):
+        """An empty list made f(1.0), mellin_psi and eval_E raise IndexError; a
+        non-finite one made mellin_psi return nan and eval_E report its tail
+        tolerance unattainable."""
+        with pytest.raises(ValueError, match="coeffs"):
+            schwartz.TestFunction(coeffs)
+
 
 class TestFourierTransform:
     def test_seed_one(self):

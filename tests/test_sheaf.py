@@ -80,6 +80,19 @@ class TestSectionGrid:
         with pytest.raises(ValueError):
             build_section_grid(1.0, zeros60)
 
+    def test_smallest_grid_holds_one_read(self):
+        """At t_max 2 the geometric grid on [pi, 4] has fewer points than the
+        9 nodes of a read; the floor gives it enough, so every node reads
+        back its samples and gamma_inverse yields one circle per node."""
+        grid = build_section_grid(2.0, [])
+        assert grid.size >= 9
+        sec = make_section(smooth_plus, smooth_minus, grid)
+        for i, L in enumerate(grid):
+            assert sec.eval_plus(float(L)) == sec.f_plus[i]
+            assert sec.eval_minus(float(L)) == sec.f_minus[i]
+        circles = gamma_inverse(sec, 2)
+        assert [xi.L for xi in circles] == list(grid)
+
     @NON_FINITE
     def test_t_max_must_be_finite(self, zeros60, bad):
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
@@ -214,9 +227,16 @@ class TestCirclesAndCovering:
 
     @NON_FINITE
     def test_length_must_be_finite_before_any_read(self, section, bad, monkeypatch):
-        monkeypatch.setattr(GlobalSection, "_eval", lambda *_: pytest.fail("section read"))
+        monkeypatch.setattr(GlobalSection, "_read", lambda *_: pytest.fail("section read"))
         with pytest.raises(ValueError, match="circle length L must be positive and finite"):
             circle_at(section, bad, 2)
+
+    def test_one_stencil_per_length(self, section, monkeypatch):
+        """circle_at reads both slots at each L / n through one stencil."""
+        centres, stencil = [], sheaf._stencil
+        monkeypatch.setattr(sheaf, "_stencil", lambda *a: centres.append(a[1]) or stencil(*a))
+        circle_at(section, 1.5, 4)
+        assert centres == [1.5 / n for n in (1, 2, 3, 4)]
 
     def test_mode_count_must_be_an_integer(self, section):
         with pytest.raises(ValueError, match="mode count N must be a positive integer"):
@@ -368,6 +388,18 @@ class TestGenerators:
         assert len(read) == 2
         assert max(r.max() for r in read) == pytest.approx(zeros[-1].ordinate, rel=1e-15)
 
+    def test_one_stencil_per_order(self, zeros60, monkeypatch):
+        """The generator check scores every zero on one layout L_k x, so it
+        builds one stencil for each distinct order, not one per zero."""
+        orders, stencil = [], sheaf._stencil
+        monkeypatch.setattr(sheaf, "_stencil", lambda *a: orders.append(a[2] + 1) or stencil(*a))
+        zeta_generator(1, zeros60)
+        assert orders == [1]
+        orders.clear()
+        IdealGenerator(((0.8, 2), (1.2, 3), (1.5, 2)),
+                       lambda L: (L - 0.8) ** 2 * (L - 1.2) ** 3 * (L - 1.5) ** 2)
+        assert sorted(orders) == [2, 3]
+
     def test_generator_without_zeros_rejected(self):
         with pytest.raises(ValueError, match="at least one zero"):
             IdealGenerator((), lambda L: L - 1.0)
@@ -421,18 +453,6 @@ class TestIdealMembership:
         )
         member, _ = ideal_membership(section_grid, values, g)
         assert member
-
-    def test_tol_validation(self, section_grid):
-        g = synthetic_generator(1.0)
-        with pytest.raises(ValueError):
-            ideal_membership(section_grid, np.ones(section_grid.size), g, tol=0.0)
-
-    @NON_FINITE
-    def test_tol_must_be_finite(self, section_grid, bad):
-        # a NaN or infinite tolerance would pass every witness and call 1 a member
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            ideal_membership(section_grid, np.ones(section_grid.size), synthetic_generator(1.0),
-                             tol=bad)
 
     def test_grid_and_sample_validation(self):
         """The grid and samples meet GlobalSection's checks: stencil nodes at
